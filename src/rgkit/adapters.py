@@ -16,10 +16,10 @@ interface is language-agnostic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from .exprs import Expr, render_expr, substitute
+from .exprs import Expr, _node, render_expr, substitute
 from .relations import RGSpec, StateSet, compile_assigns, check_assigns, solve_states
 from .values import DomainOverflow, LoadError, Schema
 from .verdicts import Verdict, diag, fail, ok
@@ -39,22 +39,6 @@ class AdapterContext:
 
     schema: Schema
     extras: tuple = ()
-
-
-def _node(cls):
-    cls = dataclass(frozen=True)(cls)
-    names = [f.name for f in fields(cls)]
-
-    def __hash__(self):
-        try:
-            return object.__getattribute__(self, "_h")
-        except AttributeError:
-            h = hash((cls.__name__,) + tuple(getattr(self, n) for n in names))
-            object.__setattr__(self, "_h", h)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
 
 
 # ----------------------------------------------------------------------

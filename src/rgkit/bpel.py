@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any
 
 from .adapters import Basic, PSeq, compile_assigns
@@ -46,6 +46,7 @@ from .exprs import (
     NotE,
     RecWith,
     Var,
+    _node,
     check_expr,
     render_expr,
 )
@@ -54,22 +55,6 @@ from .semantics import Ctx, step_es
 from .computations import cpts_linear
 from .values import BoolType, IntType, LoadError, RecType, Schema
 from .verdicts import Verdict, diag, fail, ok
-
-
-def _node(cls):
-    cls = dataclass(frozen=True)(cls)
-    names = [f.name for f in fields(cls)]
-
-    def __hash__(self):
-        try:
-            return object.__getattribute__(self, "_h")
-        except AttributeError:
-            h = hash((cls.__name__,) + tuple(getattr(self, n) for n in names))
-            object.__setattr__(self, "_h", h)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
 
 
 @_node
@@ -852,29 +837,6 @@ def render_handler(h: EventHandler) -> str:
             s += " " + _render_spec(h.spec)
         return f"{s} {{ {render_activity(h.body)} }}"
     return f"ONALARM {h.time} {{ {render_activity(h.body)} }}"
-
-
-def import_xml(path: str) -> None:
-    """Import stub for real XML process definitions (out of scope).
-
-    The textual format covers the abstract subset one-for-one; an XML
-    importer would map:
-
-        <invoke partnerLink=P portType=T operation=O> with <catch
-        faultName=N>/<catchAll>            -> INVOKE(P, T, O) ... CATCH N
-        {..} CATCHALL {..}
-        <receive>/<reply>/<assign>/<wait for=D>/<empty>
-                                           -> RECEIVE/REPLY/ASSIGN/WAIT D/EMPTY
-        <sequence>/<if>/<while>/<flow>     -> SEQ/IF/WHILE/FLOW (binary,
-                                              folded right)
-        <pick> with <onMessage>/<onAlarm>  -> PICK { ONMESSAGE .. } { ONALARM .. }
-        <repeatUntil>, sequential <forEach> -> the derived forms
-        <source linkName=L transitionCondition=C> -> SOURCES(L: C)
-        <target linkName=L> + <joinCondition>     -> TARGETS(cond; L, ..)
-
-    Compensation handlers, scopes and correlation sets have no counterpart
-    in the abstract syntax and are rejected."""
-    raise NotImplementedError("XML import is a documented stub; use the .bpc format")
 
 
 def generate_activities(

@@ -55,7 +55,6 @@ def analyze_kernel(model: BuddyModel, budget: int = 1_000_000) -> KernelAnalysis
             model.rely,
             init_states=[model.initial_state()],
             budget=budget,
-            trace_parents=True,
         )
     except Exception as e:  # noqa: BLE001
         v = graph_diag("kernel-reachability", e)

@@ -41,12 +41,10 @@ from .relations import (
     StateSet,
     identity_rel,
     intersect,
-    solve_states,
     true_set,
     univ_rel,
 )
 from .semantics import ConfigGraph, Ctx, build_graph, graph_diag
-from .values import DomainOverflow
 from .verdicts import Verdict, diag, fail, ok
 
 
@@ -175,16 +173,9 @@ class Universe:
     states: list
 
 
-def reachable_universe(
-    ctx: Ctx, target, spec: RGSpec, budget: int = 1_000_000, init_mode: str = "default"
-) -> tuple[Universe, ConfigGraph]:
-    g = build_graph(ctx, target, spec.pre, spec.rely, budget=budget, init_mode=init_mode)
-    seen, states = set(), []
-    for _, s in g.nodes:
-        if s not in seen:
-            seen.add(s)
-            states.append(s)
-    return Universe("reachable", states), g
+def reachable_universe(graph: ConfigGraph) -> Universe:
+    """The distinct states of the graph, in node order."""
+    return Universe("reachable", list(dict.fromkeys(s for _, s in graph.nodes)))
 
 
 def full_universe(ctx: Ctx, budget: int = 200_000) -> Universe:
@@ -526,7 +517,9 @@ def prove(
     with rule name and witness."""
     try:
         if universe is None:
-            universe, _ = reachable_universe(ctx, target, spec, budget=budget, init_mode=init_mode)
+            universe = reachable_universe(build_graph(
+                ctx, target, spec.pre, spec.rely, budget=budget, init_mode=init_mode,
+            ))
     except Exception as e:  # noqa: BLE001
         return graph_diag("prove", e)
     ps = _ProveState(ctx, universe, budget)
@@ -601,17 +594,22 @@ def soundness_crosscheck(
     outline: Outline,
     budget: int = 1_000_000,
     init_mode: str = "default",
+    graph: ConfigGraph | None = None,
 ) -> Verdict:
     """prove = PASS must imply semantic validity = PASS; a FAIL here is an
-    engine bug, never a model bug.  Vacuous PASS when prove fails."""
+    engine bug, never a model bug.  Vacuous PASS when prove fails.  Both
+    sides use one graph of (target, spec.pre, spec.rely): `graph` when
+    given, else one built here."""
     check = "soundness-crosscheck"
-    pv = prove(ctx, target, spec, outline, budget=budget, init_mode=init_mode)
+    if graph is None:
+        try:
+            graph = build_graph(ctx, target, spec.pre, spec.rely, budget=budget, init_mode=init_mode)
+        except Exception as e:  # noqa: BLE001
+            return ok(check, detail={"prove": graph_diag("prove", e).result, "vacuous": True})
+    pv = prove(ctx, target, spec, outline, universe=reachable_universe(graph), budget=budget)
     if not pv.passed:
         return ok(check, detail={"prove": pv.result, "vacuous": True})
-    if isinstance(target, ParallelEventSystem):
-        vv = check_validity_pes(ctx, target, spec, budget=budget, init_mode=init_mode)
-    else:
-        vv = check_validity(ctx, target, spec, budget=budget, init_mode=init_mode)
+    vv = check_validity(ctx, target, spec, graph=graph)
     if vv.passed:
         return ok(check, detail={"prove": "PASS", "validity": "PASS"})
     return fail(
@@ -641,23 +639,22 @@ def check_invariant(
     spec = RGSpec(init, rely, guar, post)
     premises: dict[str, str] = {}
 
+    try:
+        graph = build_graph(ctx, target, init, rely, budget=budget, init_mode=init_mode)
+    except Exception as e:  # noqa: BLE001
+        return graph_diag(check, e)
+    u = reachable_universe(graph)
+
     if outline is not None:
-        p1 = prove(ctx, target, spec, outline, budget=budget, init_mode=init_mode)
+        p1 = prove(ctx, target, spec, outline, universe=u, budget=budget)
     else:
-        p1 = check_validity_pes(ctx, target, spec, budget=budget, init_mode=init_mode)
+        p1 = check_validity(ctx, target, spec, graph=graph)
     premises["spec-satisfaction"] = p1.result
 
-    try:
-        init_states = solve_states(init, mode=init_mode)
-    except DomainOverflow as e:
-        return graph_diag(check, e)
+    init_states = [graph.nodes[i][1] for i in graph.initials]
     bad_init = next((s for s in init_states if not inv.holds(s)), None)
     premises["init-subset-inv"] = "FAIL" if bad_init is not None else "PASS"
 
-    try:
-        u, graph = reachable_universe(ctx, target, spec, budget=budget, init_mode=init_mode)
-    except Exception as e:  # noqa: BLE001
-        return graph_diag(check, e)
     try:
         st_rely, w_rely = stable(inv, rely, u)
         st_guar, w_guar = stable(inv, guar, u)

@@ -112,41 +112,41 @@ def _spec(mf: ModelFile, name: str) -> RGSpec:
     return mf.rgspecs[name]
 
 
-def _universe(mf: ModelFile, which: str, target, spec, budget: int, init_mode: str):
-    ctx = mf.ctx()
-    if which == "full":
-        return full_universe(ctx, budget)
-    u, _ = reachable_universe(ctx, target, spec, budget=budget, init_mode=init_mode)
-    return u
-
-
 def cmd_check(args, rep: Reporter) -> None:
     mf = _load_pcm(args.model)
     ctx = mf.ctx()
-    init_mode = "pre-free" if args.pre_free else args.init_mode
 
     if args.what == "validity":
         target = _target(mf, args.target)
         spec = _spec(mf, args.spec)
         if isinstance(target, ParallelEventSystem):
-            v = check_validity_pes(ctx, target, spec, budget=args.budget, init_mode=init_mode)
+            v = check_validity_pes(ctx, target, spec, budget=args.budget, init_mode=args.init_mode)
         else:
-            v = check_validity(ctx, target, spec, budget=args.budget, init_mode=init_mode)
+            v = check_validity(ctx, target, spec, budget=args.budget, init_mode=args.init_mode)
         rep.emit(v, args.target)
     elif args.what == "prove":
         target = _target(mf, args.target)
         spec = _spec(mf, args.spec)
         if args.outline not in mf.outlines:
             raise LoadError(f"unknown outline {args.outline!r}")
-        universe = None
+        outline = mf.outlines[args.outline]
+        graph = None
         if args.universe == "full":
             universe = full_universe(ctx, args.budget)
-        v = prove(ctx, target, spec, mf.outlines[args.outline],
-                  universe=universe, budget=args.budget, init_mode=init_mode)
+            v = prove(ctx, target, spec, outline, universe=universe, budget=args.budget)
+        else:
+            try:
+                graph = build_graph(ctx, target, spec.pre, spec.rely,
+                                    budget=args.budget, init_mode=args.init_mode)
+            except Exception as e:  # noqa: BLE001
+                v = graph_diag("prove", e)
+            else:
+                universe = reachable_universe(graph)
+                v = prove(ctx, target, spec, outline, universe=universe, budget=args.budget)
         rep.emit(v, args.target)
         if args.crosscheck:
-            v2 = soundness_crosscheck(ctx, target, spec, mf.outlines[args.outline],
-                                      budget=args.budget, init_mode=init_mode)
+            v2 = soundness_crosscheck(ctx, target, spec, outline,
+                                      budget=args.budget, init_mode=args.init_mode, graph=graph)
             rep.emit(v2, args.target)
     elif args.what == "inv":
         target = _target(mf, args.target)
@@ -162,7 +162,7 @@ def cmd_check(args, rep: Reporter) -> None:
             mf.sets[args.inv],
             outline=outline,
             budget=args.budget,
-            init_mode=init_mode,
+            init_mode=args.init_mode,
         )
         rep.emit(v, args.target)
     elif args.what == "equiv-cpts":
@@ -172,7 +172,7 @@ def cmd_check(args, rep: Reporter) -> None:
         disabled = frozenset(args.disable or [])
         v = check_linear_modular_equiv(
             ctx, target, pre, universe_rel, args.max_len,
-            init_mode=init_mode, disabled=disabled,
+            init_mode=args.init_mode, disabled=disabled,
         )
         if disabled:
             v.detail["disabled"] = sorted(disabled)
@@ -204,9 +204,8 @@ def cmd_graph_dump(args, rep: Reporter) -> None:
     target = _target(mf, args.target)
     pre = mf.sets[args.pre]
     rely = mf.rels[args.rely]
-    init_mode = "pre-free" if args.pre_free else args.init_mode
     try:
-        g = build_graph(ctx, target, pre, rely, budget=args.budget, init_mode=init_mode)
+        g = build_graph(ctx, target, pre, rely, budget=args.budget, init_mode=args.init_mode)
     except Exception as e:  # noqa: BLE001
         rep.emit(graph_diag("graph-dump", e), args.target)
         return
@@ -327,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--budget", type=int, default=1_000_000)
         p.add_argument("--init-mode", default="default", choices=["default", "pre-free", "declared"])
-        p.add_argument("--pre-free", action="store_true")
 
     pc = sub.add_parser("check", help="semantic and proof-rule checks on a model")
     pc.add_argument("what", choices=["validity", "prove", "inv", "equiv-cpts", "loop-variant"])

@@ -9,28 +9,12 @@ order, so model loading is deterministic and golden tests stay stable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any
 
-from .exprs import Expr, Lit, check_expr, substitute
+from .exprs import Expr, Lit, _node, check_expr, substitute
 from .relations import StateSet
 from .values import BoolType, LoadError, Schema, Type, render_value
-
-
-def _node(cls):
-    cls = dataclass(frozen=True)(cls)
-    names = [f.name for f in fields(cls)]
-
-    def __hash__(self):
-        try:
-            return object.__getattribute__(self, "_h")
-        except AttributeError:
-            h = hash((cls.__name__,) + tuple(getattr(self, n) for n in names))
-            object.__setattr__(self, "_h", h)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
 
 
 @_node

@@ -33,6 +33,8 @@ Pos = tuple[int, int] | None
 
 
 def _node(cls):
+    """Frozen dataclass whose hash is computed once and cached on the
+    instance; the syntax nodes of every language in the toolkit use it."""
     cls = dataclass(frozen=True)(cls)
     names = [f.name for f in fields(cls)]
 

@@ -177,7 +177,6 @@ def build_graph(
     init_states: list[tuple] | None = None,
     budget: int = 1_000_000,
     init_mode: str = "default",
-    trace_parents: bool = True,
 ) -> ConfigGraph:
     """Least fixed point of {initials} under comp and env edges.
 
@@ -222,15 +221,13 @@ def build_graph(
             jdx, new = intern((spec2, t))
             comp_edges.append((idx, lbl, jdx))
             if new:
-                if trace_parents:
-                    parents[jdx] = (idx, "comp", lbl)
+                parents[jdx] = (idx, "comp", lbl)
                 work.append(jdx)
         for t in rely.successors(s):
             jdx, new = intern((spec, t))
             env_edges.append((idx, jdx))
             if new:
-                if trace_parents:
-                    parents[jdx] = (idx, "env", None)
+                parents[jdx] = (idx, "env", None)
                 work.append(jdx)
 
     return ConfigGraph(node_index, nodes, comp_edges, env_edges, initials, parents)

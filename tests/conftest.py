@@ -1,7 +1,11 @@
+import importlib
 import os
+import pkgutil
 
 import pytest
 
+import rgkit
+from rgkit import semantics
 from rgkit.adapters import AdapterContext, IMP_ADAPTER
 from rgkit.semantics import Ctx
 from rgkit.values import BoolType, IntType, Schema
@@ -21,3 +25,21 @@ def xschema() -> Schema:
 @pytest.fixture
 def xctx(xschema) -> Ctx:
     return Ctx(AdapterContext(xschema), IMP_ADAPTER)
+
+
+@pytest.fixture
+def build_calls(monkeypatch) -> list:
+    """The positional arguments of every `build_graph` call, through
+    whichever rgkit module the call is made."""
+    calls: list = []
+    orig = semantics.build_graph
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return orig(*a, **kw)
+
+    for info in pkgutil.iter_modules(rgkit.__path__):
+        mod = importlib.import_module(f"rgkit.{info.name}")
+        if getattr(mod, "build_graph", None) is orig:
+            monkeypatch.setattr(mod, "build_graph", counted)
+    return calls

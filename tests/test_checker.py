@@ -200,7 +200,7 @@ def test_stable():
     assert not good and w[0][0] == 0 and w[1][0] == 1
 
 
-def test_prove_counting_loop_and_crosscheck():
+def test_prove_counting_loop_and_crosscheck(build_calls):
     schema, ctx = mk()
     inc = event(schema, "inc", Basic((("x", Arith("+", Var("x"), Lit(1))),)))
     # guard inside the event: x < 3
@@ -220,7 +220,9 @@ def test_prove_counting_loop_and_crosscheck():
     outline = IterNode(inv, BasicEvtNode())
     v = prove(ctx, it, spec, outline)
     assert v.passed, (v.clause, v.witness)
+    build_calls.clear()
     assert soundness_crosscheck(ctx, it, spec, outline).passed
+    assert len(build_calls) == 1
 
 
 def test_prove_conseq_reflexive_reduces_to_child():

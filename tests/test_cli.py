@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -174,3 +177,76 @@ def test_bpel_compile_with_generated_corpus():
     last = records(out)[-1]
     assert last["check"] == "compile-injective" and last["result"] == "PASS"
     assert last["detail"]["activities"] == 62
+
+
+PROVE_ITER = ["check", "prove", corpus_path("prove_suite.pcm"), "--target", "s_iter",
+              "--spec", "spec_iter", "--outline", "o07_iter"]
+INV_M1 = ["check", "inv", corpus_path("inv_suite.pcm"), "--target", "m1_counters",
+          "--init", "all0", "--rely", "id", "--guar", "guar_xy_bounded", "--inv", "inv_xy"]
+INV_PAR_OUTLINE = ["check", "inv", corpus_path("prove_suite.pcm"), "--target", "par_xy",
+                   "--init", "x0y0", "--rely", "id", "--guar", "guar_xy", "--inv", "always",
+                   "--outline", "o09_par"]
+VALIDITY_PAR = ["check", "validity", corpus_path("prove_suite.pcm"), "--target", "par_xy",
+                "--spec", "spec_par"]
+DUMP_E14 = ["graph", "dump", corpus_path("cpts_suite.pcm"), "--target", "e14",
+            "--pre", "init0", "--rely", "id"]
+
+
+def test_init_mode_pre_free():
+    argv = ["check", "validity", corpus_path("prove_suite.pcm"),
+            "--target", "s_basic", "--spec", "spec_basic"]
+    _, out = run_cli(argv)
+    code, out_free = run_cli(argv + ["--init-mode", "pre-free"])
+    assert code == 0
+    assert records(out)[1]["node_count"] == 3
+    assert records(out_free)[1]["node_count"] == 12
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (PROVE_ITER + ["--crosscheck"], 1),
+    (PROVE_ITER + ["--universe", "full", "--crosscheck"], 1),
+    (PROVE_ITER + ["--universe", "full"], 0),
+    (INV_M1, 1),
+    (INV_PAR_OUTLINE, 1),
+    (VALIDITY_PAR, 1),
+    (DUMP_E14, 1),
+])
+def test_one_graph_build_per_command(build_calls, argv, builds):
+    code, _ = run_cli(argv)
+    assert code == 0
+    assert len(build_calls) == builds
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (PROVE_ITER + ["--crosscheck", "--budget", "2"], [
+        {"check": "prove", "clause": "state-explosion", "detail": {"nodes": 3},
+         "millis": 0, "record": "verdict", "result": "DIAGNOSTIC", "target": "s_iter"},
+        {"check": "soundness-crosscheck", "detail": {"prove": "DIAGNOSTIC", "vacuous": True},
+         "millis": 0, "record": "verdict", "result": "PASS", "target": "s_iter"},
+    ]),
+    (INV_M1 + ["--budget", "2"], [
+        {"check": "invariant", "clause": "state-explosion", "detail": {"nodes": 3},
+         "millis": 0, "record": "verdict", "result": "DIAGNOSTIC", "target": "m1_counters"},
+    ]),
+])
+def test_failed_exploration_records(argv, expected):
+    code, out = run_cli(argv)
+    assert code == 2
+    lines = strip_millis(out).splitlines()[1:]
+    assert lines == [json.dumps(r, sort_keys=True) for r in expected]
+
+
+def test_reports_independent_of_hash_seed():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    outs = []
+    for seed in ("1", "2"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        runs = []
+        for argv in (PROVE_ITER + ["--crosscheck"], INV_M1, VALIDITY_PAR, DUMP_E14):
+            proc = subprocess.run([sys.executable, "-m", "rgkit.cli", *argv], env=env,
+                                  capture_output=True, text=True, check=False)
+            runs.append((proc.returncode, strip_millis(proc.stdout)))
+        outs.append(runs)
+    assert outs[0] == outs[1]
+    assert [code for code, _ in outs[0]] == [0, 0, 0, 0]
