@@ -28,6 +28,7 @@ from .buddy import (
     partition_theorem_oracle,
 )
 from .semantics import build_graph, graph_diag
+from .values import LoadError
 from .verdicts import Verdict, fail, ok
 
 
@@ -192,7 +193,10 @@ def run_buddy_demo(rep, dims: BuddyDims, budget: int = 1_000_000, workers: int =
     )
     rep.emit(oracle, f"pool({dims.n_max},{dims.n_levels})")
 
-    model = build_kernel_model(dims)
+    try:
+        model = build_kernel_model(dims)
+    except ValueError as e:  # dimensions the kernel model does not accept
+        raise LoadError(str(e)) from e
     analysis = analyze_kernel(model, budget=budget)
     for name, v in analysis.verdicts:
         v.node_count = v.node_count or analysis.node_count

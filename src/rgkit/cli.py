@@ -4,7 +4,7 @@ Reports go to stdout as JSON lines: a versioned header record followed by
 one record per check.  Records are deterministic for identical inputs and
 worker counts except for the `millis` timing field.  Exit codes: 0 when
 every check passed, 1 when any check failed, 2 for diagnostics and usage
-errors.
+errors, 3 for an internal error (an `internal-error` record on stderr).
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from .checker import (
     reachable_universe,
     soundness_crosscheck,
 )
-from .computations import check_linear_modular_equiv
+from .computations import MODULAR_RULES, check_linear_modular_equiv
 from .events import ParallelEventSystem
 from .modelfile import BpelFile, ModelFile, load, serialize, serialize_bpel
-from .relations import RGSpec
 from .semantics import build_graph, dump_graph, graph_diag
-from .values import LoadError
+from .values import DomainOverflow, LoadError
 from .verdicts import Verdict, diag
 
 
@@ -84,6 +83,12 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
+def _internal_error(e: Exception) -> int:
+    rec = {"record": "internal-error", "type": type(e).__name__, "message": str(e)}
+    sys.stderr.write(json.dumps(rec, sort_keys=True) + "\n")
+    return 3
+
+
 def _load_pcm(path: str) -> ModelFile:
     mf = load(path)
     if not isinstance(mf, ModelFile):
@@ -106,10 +111,11 @@ def _target(mf: ModelFile, name: str):
     raise LoadError(f"unknown target {name!r}")
 
 
-def _spec(mf: ModelFile, name: str) -> RGSpec:
-    if name not in mf.rgspecs:
-        raise LoadError(f"unknown rely-guarantee spec {name!r}")
-    return mf.rgspecs[name]
+def _named(table: dict, kind: str, name):
+    """`table[name]`; a name the model does not declare is a usage error."""
+    if name not in table:
+        raise LoadError(f"unknown {kind} {name!r}")
+    return table[name]
 
 
 def cmd_check(args, rep: Reporter) -> None:
@@ -118,7 +124,7 @@ def cmd_check(args, rep: Reporter) -> None:
 
     if args.what == "validity":
         target = _target(mf, args.target)
-        spec = _spec(mf, args.spec)
+        spec = _named(mf.rgspecs, "rely-guarantee spec", args.spec)
         if isinstance(target, ParallelEventSystem):
             v = check_validity_pes(ctx, target, spec, budget=args.budget, init_mode=args.init_mode)
         else:
@@ -126,14 +132,16 @@ def cmd_check(args, rep: Reporter) -> None:
         rep.emit(v, args.target)
     elif args.what == "prove":
         target = _target(mf, args.target)
-        spec = _spec(mf, args.spec)
-        if args.outline not in mf.outlines:
-            raise LoadError(f"unknown outline {args.outline!r}")
-        outline = mf.outlines[args.outline]
+        spec = _named(mf.rgspecs, "rely-guarantee spec", args.spec)
+        outline = _named(mf.outlines, "outline", args.outline)
         graph = None
         if args.universe == "full":
-            universe = full_universe(ctx, args.budget)
-            v = prove(ctx, target, spec, outline, universe=universe, budget=args.budget)
+            try:
+                universe = full_universe(ctx, args.budget)
+            except DomainOverflow as e:
+                v = diag("prove", "state-explosion", detail={"cause": str(e)})
+            else:
+                v = prove(ctx, target, spec, outline, universe=universe, budget=args.budget)
         else:
             try:
                 graph = build_graph(ctx, target, spec.pre, spec.rely,
@@ -152,14 +160,14 @@ def cmd_check(args, rep: Reporter) -> None:
         target = _target(mf, args.target)
         if not isinstance(target, ParallelEventSystem):
             raise LoadError("invariant checking expects a parallel system target")
-        outline = mf.outlines[args.outline] if args.outline else None
+        outline = _named(mf.outlines, "outline", args.outline) if args.outline else None
         v = check_invariant(
             ctx,
             target,
-            mf.sets[args.init],
-            mf.rels[args.rely],
-            mf.rels[args.guar],
-            mf.sets[args.inv],
+            _named(mf.sets, "set", args.init),
+            _named(mf.rels, "relation", args.rely),
+            _named(mf.rels, "relation", args.guar),
+            _named(mf.sets, "set", args.inv),
             outline=outline,
             budget=args.budget,
             init_mode=args.init_mode,
@@ -167,9 +175,14 @@ def cmd_check(args, rep: Reporter) -> None:
         rep.emit(v, args.target)
     elif args.what == "equiv-cpts":
         target = _target(mf, args.target)
-        pre = mf.sets[args.pre]
-        universe_rel = mf.rels[args.universe_rel]
+        if isinstance(target, ParallelEventSystem):
+            raise LoadError("computation equivalence expects an event system target")
+        pre = _named(mf.sets, "set", args.pre)
+        universe_rel = _named(mf.rels, "relation", args.universe_rel)
         disabled = frozenset(args.disable or [])
+        unknown = sorted(disabled - set(MODULAR_RULES))
+        if unknown:
+            raise LoadError(f"unknown modular rule {unknown[0]!r}")
         v = check_linear_modular_equiv(
             ctx, target, pre, universe_rel, args.max_len,
             init_mode=args.init_mode, disabled=disabled,
@@ -178,17 +191,21 @@ def cmd_check(args, rep: Reporter) -> None:
             v.detail["disabled"] = sorted(disabled)
         rep.emit(v, args.target)
     elif args.what == "loop-variant":
-        prog = mf.programs[args.prog]
-        b = mf.sets[args.cond]
-        rely = mf.rels[args.rely]
-        guar = mf.rels[args.guar]
+        prog = _named(mf.programs, "program", args.prog)
+        b = _named(mf.sets, "set", args.cond)
+        rely = _named(mf.rels, "relation", args.rely)
+        guar = _named(mf.rels, "relation", args.guar)
         fam = {}
         for a in range(args.alpha_max + 1):
             name = f"{args.loopinv}_{a}"
             if name not in mf.sets:
                 raise LoadError(f"missing loop-invariant set {name!r}")
             fam[a] = mf.sets[name]
-        universe = full_universe(ctx, args.budget)
+        try:
+            universe = full_universe(ctx, args.budget)
+        except DomainOverflow as e:
+            rep.emit(diag("loop-variant", "state-explosion", detail={"cause": str(e)}), args.prog)
+            return
         v = check_loop_variant(
             ctx, prog, b, rely, guar, lambda a: fam[a],
             range(args.alpha_max + 1), universe, budget=args.budget,
@@ -202,8 +219,8 @@ def cmd_graph_dump(args, rep: Reporter) -> None:
     mf = _load_pcm(args.model)
     ctx = mf.ctx()
     target = _target(mf, args.target)
-    pre = mf.sets[args.pre]
-    rely = mf.rels[args.rely]
+    pre = _named(mf.sets, "set", args.pre)
+    rely = _named(mf.rels, "relation", args.rely)
     try:
         g = build_graph(ctx, target, pre, rely, budget=args.budget, init_mode=args.init_mode)
     except Exception as e:  # noqa: BLE001
@@ -225,6 +242,8 @@ def cmd_graph_dump(args, rep: Reporter) -> None:
 def cmd_bpel(args, rep: Reporter) -> None:
     bf = _load_bpc(args.model)
     bctx = bf.bctx
+    if args.activity:
+        _named(bf.activities, "activity", args.activity)
     names = [args.activity] if args.activity else list(bf.activities)
 
     if args.what == "compile":
@@ -307,6 +326,8 @@ def cmd_demo_buddy(args, rep: Reporter) -> None:
 def cmd_oracle(args, rep: Reporter) -> None:
     dims = BuddyDims(n_max=args.n_max, n_levels=args.n_levels,
                      max_sz=args.max_sz if args.max_sz else 4 * 4**args.n_levels)
+    if not dims.consistent():
+        raise LoadError(f"inconsistent pool configuration: {dims}")
     v = partition_theorem_oracle(dims, drop_premise=args.drop, workers=args.workers)
     rep.emit(v, f"pool({dims.n_max},{dims.n_levels})")
 
@@ -405,10 +426,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.workers = getattr(args, "workers", 1)
         args.fn(args, rep)
-    except LoadError as e:
+    except (LoadError, OSError) as e:
         return _usage_error(str(e))
-    except (KeyError, AttributeError, ValueError) as e:
-        return _usage_error(f"{type(e).__name__}: {e}")
+    except Exception as e:  # noqa: BLE001 - anything else is a fault in rgkit
+        return _internal_error(e)
     return rep.exit_code()
 
 

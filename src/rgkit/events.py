@@ -110,7 +110,7 @@ def is_fin(s: EventSystem) -> bool:
     return isinstance(s, EsTriggered) and s.prog is None
 
 
-@dataclass(frozen=True)
+@_node
 class ParallelEventSystem:
     """Finite map from system identifiers to event systems."""
 

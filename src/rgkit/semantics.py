@@ -115,22 +115,42 @@ def step_es(
 
     seen, dedup = set(), []
     for item in out:
-        key = (item[0], item[1], item[2])
-        if key not in seen:
-            seen.add(key)
+        if item not in seen:
+            seen.add(item)
             dedup.append(item)
     return dedup
 
 
 def step_pes(
-    ctx: Ctx, ps: ParallelEventSystem, s: tuple
+    ctx: Ctx,
+    ps: ParallelEventSystem,
+    s: tuple,
+    steps: dict | None = None,
+    updates: dict | None = None,
 ) -> list[tuple[ActionLabel, ParallelEventSystem, tuple]]:
     """Union over system identifiers of the per-system steps, with the map
-    updated at the stepping identifier."""
+    updated at the stepping identifier.
+
+    `steps` memoises `(k, sub, s) -> step_es(ctx, sub, s, k)` and `updates`
+    memoises `(ps, k, sub2) -> ps.update(k, sub2)`; `build_graph` passes
+    the same two dicts to every call of one build (see its docstring).
+    Without them each call starts from empty ones."""
+    if steps is None:
+        steps = {}
+    if updates is None:
+        updates = {}
     out = []
     for k, sub in ps.systems:
-        for lbl, sub2, t in step_es(ctx, sub, s, k):
-            out.append((lbl, ps.update(k, sub2), t))
+        key = (k, sub, s)
+        sub_steps = steps.get(key)
+        if sub_steps is None:
+            sub_steps = steps[key] = step_es(ctx, sub, s, k)
+        for lbl, sub2, t in sub_steps:
+            ukey = (ps, k, sub2)
+            ps2 = updates.get(ukey)
+            if ps2 is None:
+                ps2 = updates[ukey] = ps.update(k, sub2)
+            out.append((lbl, ps2, t))
     return out
 
 
@@ -181,7 +201,23 @@ def build_graph(
     """Least fixed point of {initials} under comp and env edges.
 
     Raises DomainOverflow (wrapped by callers into a state-explosion
-    diagnostic) when the node budget is exceeded."""
+    diagnostic) when the node budget is exceeded.
+
+    For a parallel root, per-system steps and map updates are memoised in
+    two dicts that live for this call only (`step_pes`).  A thread's steps
+    depend on its own sub-system and the shared state, not on the other
+    threads, so many configurations repeat a (k, sub-system, state) key.
+    The memo changes no node, edge, parent or exception:
+      * within one build `ctx` is fixed and `step_es` is a pure function
+        of (sub-system, state, k);
+      * the memo keys are never looser than the `node_index` keys: two
+        sub-systems or states that compare equal already make the same
+        configuration;
+      * a `step_es` call that raises stores nothing, so the build stops
+        at the same node with the same exception.
+    Each distinct update (ps, k, sub-system) builds its successor
+    `ParallelEventSystem` once, and every configuration it reaches shares
+    that object."""
     if init_states is None:
         assert pre is not None
         init_states = solve_states(pre, mode=init_mode)
@@ -206,6 +242,8 @@ def build_graph(
         nodes.append(conf)
         return idx, True
 
+    steps: dict = {}
+    updates: dict = {}
     work: deque = deque()
     for s in init_states:
         idx, new = intern((root, s))
@@ -216,8 +254,11 @@ def build_graph(
     while work:
         idx = work.popleft()
         spec, s = nodes[idx]
-        steps = step_pes(ctx, spec, s) if is_pes else step_es(ctx, spec, s, "es")
-        for lbl, spec2, t in steps:
+        if is_pes:
+            succs = step_pes(ctx, spec, s, steps, updates)
+        else:
+            succs = step_es(ctx, spec, s, "es")
+        for lbl, spec2, t in succs:
             jdx, new = intern((spec2, t))
             comp_edges.append((idx, lbl, jdx))
             if new:

@@ -250,3 +250,58 @@ def test_reports_independent_of_hash_seed():
         outs.append(runs)
     assert outs[0] == outs[1]
     assert [code for code, _ in outs[0]] == [0, 0, 0, 0]
+
+
+LOOP_DEC = ["check", "loop-variant", corpus_path("loop_variant.pcm"), "--prog", "body_dec",
+            "--cond", "bpos", "--rely", "id", "--guar", "guar_dec", "--loopinv", "loopinv"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (PROVE_ITER + ["--universe", "full", "--budget", "1"],
+     {"check": "prove", "clause": "state-explosion",
+      "detail": {"cause": "domain-overflow: <schema product> <- 16"}, "millis": 0,
+      "record": "verdict", "result": "DIAGNOSTIC", "target": "s_iter"}),
+    (LOOP_DEC + ["--budget", "1"],
+     {"check": "loop-variant", "clause": "state-explosion",
+      "detail": {"cause": "domain-overflow: <schema product> <- 4"}, "millis": 0,
+      "record": "verdict", "result": "DIAGNOSTIC", "target": "body_dec"}),
+])
+def test_full_universe_over_budget_is_diagnostic(argv, expected):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert strip_millis(out).splitlines()[1:] == [json.dumps(expected, sort_keys=True)]
+
+
+EQUIV_E04 = ["check", "equiv-cpts", corpus_path("cpts_suite.pcm"), "--target", "e04",
+             "--pre", "init0", "--universe-rel", "full", "--max-len", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([a if a != "all0" else "nope" for a in INV_M1], "unknown set 'nope'"),
+    (DUMP_E14[:-1] + ["nope"], "unknown relation 'nope'"),
+    (EQUIV_E04 + ["--disable", "NoSuchRule"], "unknown modular rule 'NoSuchRule'"),
+    (["check", "equiv-cpts", corpus_path("prove_suite.pcm"), "--target", "par_xy",
+      "--pre", "x0y0", "--universe-rel", "id"],
+     "computation equivalence expects an event system target"),
+    (["fmt", corpus_path("no_such_file.pcm")],
+     f"[Errno 2] No such file or directory: {corpus_path('no_such_file.pcm')!r}"),
+    (["demo", "buddy", "--threads", "t1,t2,t3,t4"],
+     "dims too large for desk-scale checking (cost estimate 751868325000); "
+     "pass force=True to override"),
+])
+def test_usage_errors(argv, message, capsys):
+    code, _ = run_cli(argv)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_engine_fault_is_internal_error(monkeypatch, capsys):
+    def broken(*a, **kw):
+        raise KeyError("memo")
+
+    monkeypatch.setattr(cli, "build_graph", broken)
+    code, _ = run_cli(DUMP_E14)
+    assert code == 3
+    [line] = capsys.readouterr().err.splitlines()
+    rec = json.loads(line)
+    assert (rec["record"], rec["type"], rec["message"]) == ("internal-error", "KeyError", "'memo'")

@@ -1,6 +1,12 @@
+import glob
+import os
+from collections import deque
+
 import pytest
 
-from rgkit.adapters import AdapterContext, Basic, IMP_ADAPTER, PSeq
+from conftest import CORPUS
+from rgkit.adapters import AdapterContext, AwaitDivergence, Basic, IMP_ADAPTER, PSeq
+from rgkit.buddy import BuddyDims, build_kernel_model
 from rgkit.events import (
     ActionLabel,
     EsBasic,
@@ -18,8 +24,17 @@ from rgkit.events import (
     tau,
 )
 from rgkit.exprs import Arith, Cmp, Lit, Var
+from rgkit.modelfile import load
 from rgkit.relations import RelDesc, RelRule, StateSet, identity_rel, true_set
-from rgkit.semantics import Ctx, build_graph, dump_graph, step_es, step_pes
+from rgkit.semantics import (
+    AtomDivergence,
+    ConfigGraph,
+    Ctx,
+    build_graph,
+    dump_graph,
+    step_es,
+    step_pes,
+)
 from rgkit.values import DomainOverflow, IntType, Schema
 
 
@@ -197,3 +212,141 @@ def test_dump_graph_deterministic():
     d2 = dump_graph(ctx, build_graph(ctx, es, pre, identity_rel(schema)))
     assert d1 == d2
     assert d1.splitlines()[0].startswith("node ")
+
+
+# -- differential test of build_graph's step memo ---------------------------
+
+
+def reference_build(ctx, root, init_states, rely, budget=1_000_000) -> ConfigGraph:
+    """The plain BFS: `step_es` per system and `ps.update` on every step,
+    with no memo.  A test oracle for `build_graph`."""
+    node_index, nodes, comp_edges, env_edges, parents, initials = {}, [], [], [], {}, []
+
+    def intern(conf):
+        if conf in node_index:
+            return node_index[conf], False
+        if len(nodes) >= budget:
+            raise DomainOverflow("<node budget>", len(nodes) + 1)
+        node_index[conf] = len(nodes)
+        nodes.append(conf)
+        return len(nodes) - 1, True
+
+    work = deque()
+    for s in init_states:
+        idx, new = intern((root, s))
+        initials.append(idx)
+        if new:
+            work.append(idx)
+    while work:
+        idx = work.popleft()
+        spec, s = nodes[idx]
+        if isinstance(spec, ParallelEventSystem):
+            succs = [(lbl, spec.update(k, sub2), t)
+                     for k, sub in spec.systems for lbl, sub2, t in step_es(ctx, sub, s, k)]
+        else:
+            succs = step_es(ctx, spec, s, "es")
+        for lbl, spec2, t in succs:
+            jdx, new = intern((spec2, t))
+            comp_edges.append((idx, lbl, jdx))
+            if new:
+                parents[jdx] = (idx, "comp", lbl)
+                work.append(jdx)
+        for t in rely.successors(s):
+            jdx, new = intern((spec, t))
+            env_edges.append((idx, jdx))
+            if new:
+                parents[jdx] = (idx, "env", None)
+                work.append(jdx)
+    return ConfigGraph(node_index, nodes, comp_edges, env_edges, initials, parents)
+
+
+def outcome(build):
+    """The graph, or the type and text of the exception that ended the build."""
+    try:
+        return build()
+    except (AtomDivergence, AwaitDivergence, DomainOverflow) as e:
+        return type(e), str(e)
+
+
+def assert_same_outcome(ctx, root, init_states, rely, budget=1_000_000, dump=True):
+    """Same graph, field by field and as `dump_graph` text, or the same
+    exception.  `dump=False` skips the text, which is a function of the
+    nodes, edges and initials compared before it."""
+    g = outcome(lambda: build_graph(ctx, root, None, rely, init_states=init_states, budget=budget))
+    ref = outcome(lambda: reference_build(ctx, root, init_states, rely, budget))
+    if isinstance(g, tuple) or isinstance(ref, tuple):
+        assert g == ref
+        return g
+    assert list(g.node_index.items()) == list(ref.node_index.items())
+    assert g.nodes == ref.nodes
+    assert g.comp_edges == ref.comp_edges
+    assert g.env_edges == ref.env_edges
+    assert g.initials == ref.initials
+    assert list(g.parents.items()) == list(ref.parents.items())
+    if dump:
+        assert dump_graph(ctx, g) == dump_graph(ctx, ref)
+    return g
+
+
+def corpus_cases():
+    """(path, target, relation names) for every parallel and plain
+    event-system target of the corpus: under every relation of its file,
+    from every state; the BUDDY models from their initial state under
+    their clock.
+    The desk kernel is left out: it takes minutes to explore."""
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*.pcm"))):
+        mf = load(path)
+        name = os.path.basename(path)
+        targets = {**mf.esystems, **mf.pes}
+        if mf.buddy is not None:
+            for tname in targets:
+                if (name, tname) != ("buddy_desk.pcm", "kernel"):
+                    yield pytest.param(path, tname, None, id=f"{name}:{tname}")
+        else:
+            for tname in targets:
+                yield pytest.param(path, tname, sorted(mf.rels), id=f"{name}:{tname}")
+
+
+@pytest.mark.parametrize("path, tname, rels", list(corpus_cases()))
+def test_build_graph_matches_reference_on_corpus(path, tname, rels):
+    mf = load(path)
+    target = {**mf.esystems, **mf.pes}[tname]
+    if mf.buddy is not None:
+        ctx, inits, relies = mf.buddy.ctx, [mf.buddy.initial_state()], [mf.buddy.rely]
+    else:
+        ctx, inits, relies = mf.ctx(), mf.schema.all_states(), [mf.rels[r] for r in rels]
+    for rely in relies:
+        # the buddy_single kernel's dump would be about a gigabyte of text
+        assert_same_outcome(ctx, target, inits, rely, dump=mf.buddy is None)
+
+
+def test_build_graph_matches_reference_on_two_thread_kernel():
+    dims = BuddyDims(n_levels=1, max_sz=16, threads=("t1", "t2"), alloc_sizes=(4,),
+                     timeouts=(0,), free_blocks=(), tick_max=0)
+    m = build_kernel_model(dims)
+    g = assert_same_outcome(m.ctx, m.pes, [m.initial_state()], m.rely)
+    assert g.node_count == 1138
+
+
+def twin_threads(schema, bound):
+    """Two identical threads that each repeat x := x + 1 while x < bound."""
+    inc = Basic((("x", Arith("+", Var("x"), Lit(1))),))
+    bump = EsIter(StateSet(schema, Cmp("<", Var("x"), Lit(bound))), EsBasic(ev(schema, body=inc)))
+    return ParallelEventSystem((("k1", bump), ("k2", bump)))
+
+
+def test_build_graph_matches_reference_on_identical_threads():
+    schema, ctx = mk()
+    g = assert_same_outcome(ctx, twin_threads(schema, 2), schema.all_states(), identity_rel(schema))
+    assert {lbl.k for _, lbl, _ in g.comp_edges} == {"k1", "k2"}
+
+
+@pytest.mark.parametrize("budget, message", [
+    (1_000_000, "domain-overflow: x <- 4"),
+    (7, "domain-overflow: <node budget> <- 8"),
+])
+def test_build_graph_raises_like_reference(budget, message):
+    schema, ctx = mk()
+    ps = twin_threads(schema, 9)
+    result = assert_same_outcome(ctx, ps, [schema.state(x=0)], identity_rel(schema), budget)
+    assert result == (DomainOverflow, message)
