@@ -22,6 +22,8 @@ of relative start addresses.  The corpus ships:
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -217,6 +219,18 @@ def valid_assignment_estimate(dims: BuddyDims) -> int:
     return f(dims.n_levels) ** dims.n_max
 
 
+def _estimate_detail(estimate: int) -> dict:
+    """The estimate for a report: the number itself, or its count of
+    decimal digits when it has more than Python converts to a string."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if not limit or estimate < 10**limit:
+        return {"estimated_assignments": estimate}
+    digits = max(0, int(estimate.bit_length() * math.log10(2)) - 1)
+    while 10**digits <= estimate:
+        digits += 1
+    return {"estimated_assignments_digits": digits}
+
+
 def _enumerate_bitmaps(dims: BuddyDims, drop: str | None):
     """Backtracking enumeration of bitmap assignments with early pruning of
     the (non-dropped) premises.  Yields complete assignments that satisfy
@@ -291,7 +305,7 @@ def partition_theorem_oracle(
         return diag(
             check,
             "dims-too-large",
-            detail={"estimated_assignments": estimate, "budget": budget},
+            detail={**_estimate_detail(estimate), "budget": budget},
         )
 
     if workers > 1 and dims.bits_len(0) >= 1:

@@ -69,7 +69,17 @@ def analyze_kernel(model: BuddyModel, budget: int = 1_000_000) -> KernelAnalysis
     def state_witness(idx: int) -> dict:
         return {"state": schema.state_to_dict(graph.nodes[idx][1])}
 
-    bad = next((i for i, (_, s) in enumerate(graph.nodes) if not inv(s)), None)
+    # Equal states in `graph.nodes` are one object, so the predicates are
+    # memoised by object id; the scans keep node and edge order, so the
+    # first failure and its witness are those of a full scan.
+    inv_ok: set = set()
+    bad = None
+    for i, (_, s) in enumerate(graph.nodes):
+        if id(s) not in inv_ok:
+            if not inv(s):
+                bad = i
+                break
+            inv_ok.add(id(s))
     verdicts.append(
         (
             "structural-invariants",
@@ -81,12 +91,17 @@ def analyze_kernel(model: BuddyModel, budget: int = 1_000_000) -> KernelAnalysis
 
     bad = None
     quiescent_count = 0
+    is_quiescent: dict = {}  # id(state) -> quiescent(state)
     for i, (_, s) in enumerate(graph.nodes):
-        if quiescent(s):
-            quiescent_count += 1
-            if not frag(s) or not flv(s):
+        q = is_quiescent.get(id(s))
+        if q is None:
+            q = is_quiescent[id(s)] = quiescent(s)
+            if q and (not frag(s) or not flv(s)):
+                quiescent_count += 1
                 bad = i
                 break
+        if q:
+            quiescent_count += 1
     verdicts.append(
         (
             "quiescent-properties",
@@ -98,6 +113,7 @@ def analyze_kernel(model: BuddyModel, budget: int = 1_000_000) -> KernelAnalysis
 
     guar_bad = None
     checked_edges = 0
+    in_guar: set = set()  # (thread, id(pre), id(post)) already checked
     for src, lbl, dst in graph.comp_edges:
         t = lbl.k
         g = model.guarantees.get(t)
@@ -105,9 +121,12 @@ def analyze_kernel(model: BuddyModel, budget: int = 1_000_000) -> KernelAnalysis
             continue
         checked_edges += 1
         s, r = graph.nodes[src][1], graph.nodes[dst][1]
-        if not g.contains(s, r):
-            guar_bad = (t, src, dst, lbl)
-            break
+        key = (t, id(s), id(r))
+        if key not in in_guar:
+            if not g.contains(s, r):
+                guar_bad = (t, src, dst, lbl)
+                break
+            in_guar.add(key)
     verdicts.append(
         (
             "thread-guarantees",

@@ -123,8 +123,11 @@ def check_validity(
     except Exception as e:  # noqa: BLE001 - converted to typed diagnostics
         return graph_diag(check, e)
 
+    in_guar: set = set()  # (id(s), id(t)) of pairs already found in guar
     for src, lbl, dst in graph.comp_edges:
         s, t = graph.nodes[src][1], graph.nodes[dst][1]
+        if (id(s), id(t)) in in_guar:
+            continue
         if not spec.guar.contains(s, t):
             w = _witness_path(ctx, graph, src, extra=(graph.nodes[dst], lbl))
             return fail(
@@ -138,6 +141,7 @@ def check_validity(
                 node_count=graph.node_count,
                 detail={"_computation": w},
             )
+        in_guar.add((id(s), id(t)))
     for idx, (spec_c, s) in enumerate(graph.nodes):
         if _conf_finished(spec_c) and not spec.post.holds(s):
             w = _witness_path(ctx, graph, idx)

@@ -121,36 +121,98 @@ def step_es(
     return dedup
 
 
+class _Intern:
+    """Hash-consing table: equal values get one small int, in order of
+    first appearance, and share the first object seen."""
+
+    __slots__ = ("ids", "objs")
+
+    def __init__(self):
+        self.ids: dict = {}
+        self.objs: list = []
+
+    def __call__(self, x) -> int:
+        i = self.ids.get(x)
+        if i is None:
+            i = self.ids[x] = len(self.objs)
+            self.objs.append(x)
+        return i
+
+
+class _Tables:
+    """Intern tables and step memos of one `build_graph` call."""
+
+    __slots__ = ("state", "spec", "sub", "threads", "systems", "steps", "updates")
+
+    def __init__(self):
+        self.state = _Intern()
+        self.spec = _Intern()
+        self.sub = _Intern()
+        self.threads: dict = {}  # spec id -> ((k, sub id), ...)
+        self.systems: dict = {}  # ((k, sub id), ...) -> spec id
+        self.steps: dict = {}  # (k, sub id, state id) -> [(label, sub2 id, t id)]
+        self.updates: dict = {}  # (spec id, k, sub2 id) -> spec2 id
+
+
+def _updated(tables: _Tables, ps: ParallelEventSystem, threads: tuple, k: Any, q2: int) -> int:
+    """Spec id of `ps` with system `k` replaced by sub id `q2`.  Equal
+    systems have equal (k, sub id) vectors, so `ps.update` runs once per
+    distinct successor system."""
+    vec = tuple((kk, q2 if kk == k else q) for kk, q in threads)
+    p2 = tables.systems.get(vec)
+    if p2 is None:
+        p2 = tables.systems[vec] = tables.spec(ps.update(k, tables.sub.objs[q2]))
+        tables.threads[p2] = vec
+    return p2
+
+
 def step_pes(
     ctx: Ctx,
     ps: ParallelEventSystem,
     s: tuple,
-    steps: dict | None = None,
-    updates: dict | None = None,
-) -> list[tuple[ActionLabel, ParallelEventSystem, tuple]]:
+    tables: _Tables | None = None,
+    p: int = 0,
+    si: int = 0,
+) -> list[tuple[ActionLabel, Any, Any]]:
     """Union over system identifiers of the per-system steps, with the map
     updated at the stepping identifier.
 
-    `steps` memoises `(k, sub, s) -> step_es(ctx, sub, s, k)` and `updates`
-    memoises `(ps, k, sub2) -> ps.update(k, sub2)`; `build_graph` passes
-    the same two dicts to every call of one build (see its docstring).
-    Without them each call starts from empty ones."""
-    if steps is None:
-        steps = {}
-    if updates is None:
-        updates = {}
+    `build_graph` passes its `tables` with `p` and `si`, the ids of `ps`
+    and `s` in them, and gets back (label, spec2 id, t id) triples.  The
+    tables memoise `step_es` per (k, sub id, state id) and the successor
+    spec per (spec id, k, sub2 id) for the whole build (see its
+    docstring).  Without tables the call uses fresh ones and returns
+    (label, system, state) triples.  Every system's step list is computed
+    before the caller sees any successor."""
+    fresh = tables is None
+    if fresh:
+        tables = _Tables()
+        p, si = tables.spec(ps), tables.state(s)
+    steps, updates = tables.steps, tables.updates
+    subs = tables.sub.objs
+    threads = tables.threads.get(p)
+    if threads is None:
+        sub_id = tables.sub
+        threads = tables.threads[p] = tuple((k, sub_id(sub)) for k, sub in ps.systems)
+        tables.systems[threads] = p
     out = []
-    for k, sub in ps.systems:
-        key = (k, sub, s)
+    for k, q in threads:
+        key = (k, q, si)
         sub_steps = steps.get(key)
         if sub_steps is None:
-            sub_steps = steps[key] = step_es(ctx, sub, s, k)
-        for lbl, sub2, t in sub_steps:
-            ukey = (ps, k, sub2)
-            ps2 = updates.get(ukey)
-            if ps2 is None:
-                ps2 = updates[ukey] = ps.update(k, sub2)
-            out.append((lbl, ps2, t))
+            sub_id, state_id = tables.sub, tables.state
+            sub_steps = steps[key] = [
+                (lbl, sub_id(sub2), state_id(t)) for lbl, sub2, t in step_es(ctx, subs[q], s, k)
+            ]
+        for lbl, q2, t in sub_steps:
+            ukey = (p, k, q2)
+            p2 = updates.get(ukey)
+            if p2 is None:
+                p2 = updates[ukey] = _updated(tables, ps, threads, k, q2)
+            out.append((lbl, p2, t))
+    if fresh:
+        specs, states = tables.spec.objs, tables.state.objs
+        return [(lbl, specs[p2], states[t]) for lbl, p2, t in out]
     return out
 
 
@@ -203,74 +265,97 @@ def build_graph(
     Raises DomainOverflow (wrapped by callers into a state-explosion
     diagnostic) when the node budget is exceeded.
 
-    For a parallel root, per-system steps and map updates are memoised in
-    two dicts that live for this call only (`step_pes`).  A thread's steps
-    depend on its own sub-system and the shared state, not on the other
-    threads, so many configurations repeat a (k, sub-system, state) key.
-    The memo changes no node, edge, parent or exception:
-      * within one build `ctx` is fixed and `step_es` is a pure function
-        of (sub-system, state, k);
-      * the memo keys are never looser than the `node_index` keys: two
-        sub-systems or states that compare equal already make the same
-        configuration;
-      * a `step_es` call that raises stores nothing, so the build stops
-        at the same node with the same exception.
-    Each distinct update (ps, k, sub-system) builds its successor
-    `ParallelEventSystem` once, and every configuration it reaches shares
-    that object."""
+    The build hash-conses states, specs and a parallel root's sub-systems
+    to small ints in tables that live for this call only (`_Tables`); a
+    configuration is the pair (spec id, state id).  The ids change no
+    node, edge, parent or exception:
+      * an id is the equality class of a value, and the `node_index` keys
+        were already compared by equality, so (spec id, state id) pairs
+        name the same configurations in the same BFS order;
+      * `nodes` holds the first object of each class, and equal objects
+        render alike, so dumps and witnesses do not change;
+      * `node_index` is filled from `nodes` after the search.
+    Every step is a pure function of what its memo key names, within one
+    build where `ctx` and `rely` are fixed:
+      * `rely.successors` runs once per state id;
+      * `step_es` runs once per (k, sub id, state id): a thread's steps
+        depend on its own sub-system and the shared state, not on the
+        other threads;
+      * the successor spec is memoised per (spec id, k, sub2 id), and
+        `ps.update` runs once per distinct vector of (k, sub id) pairs,
+        so equal successor systems are one object;
+      * a call that raises stores nothing.
+    Raise order: for one configuration every thread's step list is
+    computed before any successor is added, then the comp successors are
+    added, then the rely is stepped and the env successors added.  So a
+    thread's divergence or domain overflow is never hidden behind the node
+    budget, and the build stops at the same node with the same exception
+    as a plain search."""
     if init_states is None:
         assert pre is not None
         init_states = solve_states(pre, mode=init_mode)
 
     is_pes = isinstance(root, ParallelEventSystem)
+    tables = _Tables()
+    state_id, spec_id = tables.state, tables.spec
+    states, specs = state_id.objs, spec_id.objs
 
-    node_index: dict = {}
+    index: dict = {}  # (spec id, state id) -> node idx
+    confs: list = []  # node idx -> (spec id, state id)
     nodes: list = []
     comp_edges: list = []
     env_edges: list = []
     parents: dict = {}
     initials: list = []
+    env_succs: dict = {}  # state id -> [t id]
 
-    def intern(conf) -> tuple[int, bool]:
-        idx = node_index.get(conf)
+    def intern(conf: tuple[int, int]) -> tuple[int, bool]:
+        idx = index.get(conf)
         if idx is not None:
             return idx, False
         idx = len(nodes)
         if idx >= budget:
             raise DomainOverflow("<node budget>", idx + 1)
-        node_index[conf] = idx
-        nodes.append(conf)
+        index[conf] = idx
+        confs.append(conf)
+        nodes.append((specs[conf[0]], states[conf[1]]))
         return idx, True
 
-    steps: dict = {}
-    updates: dict = {}
     work: deque = deque()
+    p0 = spec_id(root)
     for s in init_states:
-        idx, new = intern((root, s))
+        idx, new = intern((p0, state_id(s)))
         initials.append(idx)
         if new:
             work.append(idx)
 
     while work:
         idx = work.popleft()
+        p, si = confs[idx]
         spec, s = nodes[idx]
         if is_pes:
-            succs = step_pes(ctx, spec, s, steps, updates)
+            succs = step_pes(ctx, spec, s, tables, p, si)
         else:
-            succs = step_es(ctx, spec, s, "es")
-        for lbl, spec2, t in succs:
-            jdx, new = intern((spec2, t))
+            succs = [(lbl, spec_id(spec2), state_id(t))
+                     for lbl, spec2, t in step_es(ctx, spec, s, "es")]
+        for lbl, p2, t in succs:
+            jdx, new = intern((p2, t))
             comp_edges.append((idx, lbl, jdx))
             if new:
                 parents[jdx] = (idx, "comp", lbl)
                 work.append(jdx)
-        for t in rely.successors(s):
-            jdx, new = intern((spec, t))
+        env = env_succs.get(si)
+        if env is None:
+            env = env_succs[si] = [state_id(t) for t in rely.successors(s)]
+        for t in env:
+            jdx, new = intern((p, t))
             env_edges.append((idx, jdx))
             if new:
                 parents[jdx] = (idx, "env", None)
                 work.append(jdx)
 
+    del tables, index, confs, env_succs  # lowers peak memory: freed before node_index is built
+    node_index = dict(zip(nodes, range(len(nodes))))
     return ConfigGraph(node_index, nodes, comp_edges, env_edges, initials, parents)
 
 

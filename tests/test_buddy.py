@@ -18,6 +18,7 @@ from rgkit.buddy import (
     partition_theorem_oracle,
     valid_assignment_estimate,
 )
+from rgkit.buddy_checks import analyze_kernel
 from rgkit.checker import Universe, check_loop_variant
 from rgkit.relations import StateSet, identity_rel, univ_rel
 from rgkit.semantics import build_graph, step_pes
@@ -244,3 +245,52 @@ def test_mp_free_loopinv_family_on_reachable_states():
         fam, range(0, dims.n_levels + 1), u,
     )
     assert v2.failed and v2.clause.startswith("condition-1")
+
+
+class RejectPair:
+    """A guarantee that holds for every step except one (pre, post) pair."""
+
+    def __init__(self, pre, post):
+        self.pair = (pre, post)
+
+    def contains(self, s, t):
+        return (s, t) != self.pair
+
+
+def test_kernel_checks_report_first_failure_in_graph_order():
+    """analyze_kernel evaluates each distinct state and (thread, pre, post)
+    triple once; its counts and first failures are those of a scan over
+    every node and edge."""
+    dims = BuddyDims(n_levels=1, max_sz=16, threads=("t1", "t2"), alloc_sizes=(4,),
+                     timeouts=(0,), free_blocks=(), tick_max=0)
+    m = build_kernel_model(dims)
+    g = build_graph(m.ctx, m.pes, None, m.rely, init_states=[m.initial_state()])
+    states = [s for _, s in g.nodes]
+    to_dict = m.layout.schema.state_to_dict
+    guarded = [(a, lbl, b) for a, lbl, b in g.comp_edges if lbl.k in m.guarantees]
+    verdicts = dict(analyze_kernel(m).verdicts)
+    assert all(v.passed for v in verdicts.values())
+    quiescent = m.invariants["quiescent"]
+    assert verdicts["quiescent-properties"].detail == {
+        "quiescent_states": sum(1 for s in states if quiescent(s))}
+    assert verdicts["thread-guarantees"].detail == {"thread_steps": len(guarded)}
+
+    # a quiescent state met at several nodes, the first after the root
+    later = next(s for s in states[1:] if quiescent(s) and states.count(s) > 1)
+    m.invariants["inv"] = lambda s: s != later
+    m.invariants["free_list_valid"] = lambda s: s != later
+    verdicts = dict(analyze_kernel(m).verdicts)
+    for name in ("structural-invariants", "quiescent-properties"):
+        assert verdicts[name].failed and verdicts[name].witness == {"state": to_dict(later)}
+
+    # a (pre, post) pair stepped by both threads; the first such edge fails
+    pairs = [(states[a], states[b]) for a, _, b in guarded]
+    threads: dict = {}
+    for pair, (_, lbl, _) in zip(pairs, guarded):
+        threads.setdefault(pair, set()).add(lbl.k)
+    pre, post = next(pair for pair, ks in threads.items() if len(ks) > 1)
+    _, lbl, _ = guarded[pairs.index((pre, post))]
+    m.guarantees = {t: RejectPair(pre, post) for t in m.guarantees}
+    verdict = dict(analyze_kernel(m).verdicts)["thread-guarantees"]
+    assert verdict.failed and verdict.witness == {
+        "thread": lbl.k, "label": lbl.render(), "pre": to_dict(pre), "post": to_dict(post)}

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import corpus_path
 from rgkit import cli
+from rgkit.buddy import BuddyDims, valid_assignment_estimate
 
 
 def run_cli(argv):
@@ -305,3 +306,22 @@ def test_engine_fault_is_internal_error(monkeypatch, capsys):
     [line] = capsys.readouterr().err.splitlines()
     rec = json.loads(line)
     assert (rec["record"], rec["type"], rec["message"]) == ("internal-error", "KeyError", "'memo'")
+
+
+def oracle_dims_too_large(n_levels, detail, capsys):
+    code, out = run_cli(["oracle", "--n-max", "1", "--n-levels", str(n_levels)])
+    assert code == 2 and capsys.readouterr().err == ""
+    expected = {"check": "partition-oracle", "clause": "dims-too-large", "detail": detail,
+                "millis": 0, "record": "verdict", "result": "DIAGNOSTIC",
+                "target": f"pool(1,{n_levels})"}
+    assert strip_millis(out).splitlines()[1:] == [json.dumps(expected, sort_keys=True)]
+
+
+def test_oracle_estimate_over_int_string_limit_is_digit_count(capsys):
+    oracle_dims_too_large(9, {"budget": 2000000, "estimated_assignments_digits": 39567}, capsys)
+
+
+def test_oracle_estimate_within_int_string_limit_is_the_number(capsys):
+    estimate = valid_assignment_estimate(BuddyDims(n_max=1, n_levels=6))
+    assert 300 < len(str(estimate)) < 4300
+    oracle_dims_too_large(6, {"budget": 2000000, "estimated_assignments": estimate}, capsys)

@@ -5,7 +5,7 @@ from collections import deque
 import pytest
 
 from conftest import CORPUS
-from rgkit.adapters import AdapterContext, AwaitDivergence, Basic, IMP_ADAPTER, PSeq
+from rgkit.adapters import AdapterContext, AwaitDivergence, Basic, IMP_ADAPTER, PSeq, While
 from rgkit.buddy import BuddyDims, build_kernel_model
 from rgkit.events import (
     ActionLabel,
@@ -326,6 +326,9 @@ def test_build_graph_matches_reference_on_two_thread_kernel():
     m = build_kernel_model(dims)
     g = assert_same_outcome(m.ctx, m.pes, [m.initial_state()], m.rely)
     assert g.node_count == 1138
+    # the build hash-conses: equal states, and equal specs, are one object
+    assert len({id(s) for _, s in g.nodes}) == len({s for _, s in g.nodes})
+    assert len({id(p) for p, _ in g.nodes}) == len({p for p, _ in g.nodes})
 
 
 def twin_threads(schema, bound):
@@ -350,3 +353,34 @@ def test_build_graph_raises_like_reference(budget, message):
     ps = twin_threads(schema, 9)
     result = assert_same_outcome(ctx, ps, [schema.state(x=0)], identity_rel(schema), budget)
     assert result == (DomainOverflow, message)
+
+
+@pytest.mark.parametrize("budget, message", [
+    (1_000_000, "domain-overflow: x <- 7"),
+    (20, "domain-overflow: <node budget> <- 21"),
+])
+def test_build_graph_rely_raises_like_reference(budget, message):
+    """The rely is stepped once per distinct state.  One that overflows at
+    x = 2, a state first reached after 21 nodes (several of them sharing a
+    state), ends the build at the same node as a plain search."""
+    schema, ctx = mk()
+    x_is = lambda v: StateSet(schema, Cmp("=", Var("x"), Lit(v)))  # noqa: E731
+    rely = RelDesc(schema, "rules", rules=(
+        RelRule(x_is(0), (("x", Lit(1)),)),
+        RelRule(x_is(2), (("x", Arith("+", Var("x"), Lit(5))),)),
+    ))
+    ps = twin_threads(schema, 3)
+    result = assert_same_outcome(ctx, ps, [schema.state(x=0)], rely, budget)
+    assert result == (DomainOverflow, message)
+
+
+def test_build_graph_steps_every_thread_before_adding_successors():
+    """At the root, thread k1's step would go over a budget of one node and
+    thread k2's atomic event diverges.  Every thread's steps are computed
+    before any successor is added, so the divergence is what ends the
+    build, as in a plain search."""
+    schema, ctx = mk()
+    spin = EsAtomic(ev(schema, label="spin", body=While(true_set(schema), Basic(()))))
+    ps = ParallelEventSystem((("k1", EsBasic(ev(schema))), ("k2", spin)))
+    result = assert_same_outcome(ctx, ps, [schema.state(x=0)], identity_rel(schema), budget=1)
+    assert result == (AtomDivergence, "atom-divergence in spin")
