@@ -38,7 +38,6 @@ class AdapterContext:
     """Static configuration for programs; immutable during checking."""
 
     schema: Schema
-    extras: tuple = ()
 
 
 # ----------------------------------------------------------------------

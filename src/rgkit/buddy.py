@@ -7,7 +7,7 @@ of relative start addresses.  The corpus ships:
 
   * the structural invariants (well-shaped bitmaps, configuration
     consistency, the memory-partition property) as fast native state
-    predicates, registered as named builtins for model files;
+    predicates, which a model file's BUDDY section registers as sets;
   * a brute-force oracle enumerating every premise-satisfying bitmap
     assignment at small dimensions and asserting the partition property
     (with selectable premise drops to show the premises matter);
@@ -16,7 +16,7 @@ of relative start addresses.  The corpus ships:
     allocator service logic statement by statement (block marking
     through ALLOCATING/FREEING, the partner-coalescing loop, wait-queue
     handling), plus an atomic scheduler system; and
-  * the per-thread guarantee, the service pre/postconditions, and the
+  * the per-thread guarantee, the service postconditions, and the
     variant-indexed loop invariant family for the release loop.
 """
 
@@ -231,10 +231,11 @@ def _estimate_detail(estimate: int) -> dict:
     return {"estimated_assignments_digits": digits}
 
 
-def _enumerate_bitmaps(dims: BuddyDims, drop: str | None):
+def _enumerate_bitmaps(dims: BuddyDims, drop: str | None, first: str):
     """Backtracking enumeration of bitmap assignments with early pruning of
     the (non-dropped) premises.  Yields complete assignments that satisfy
-    every premise except the dropped one."""
+    every premise except the dropped one and whose first cell (level 0,
+    block 0) is `first`."""
     order = [(i, j) for i in range(dims.n_levels) for j in range(dims.bits_len(i))]
     bits = [[NOEXIST] * dims.bits_len(i) for i in range(dims.n_levels)]
     last = dims.n_levels - 1
@@ -258,7 +259,10 @@ def _enumerate_bitmaps(dims: BuddyDims, drop: str | None):
             yield [tuple(row) for row in bits]
             return
         i, j = order[pos]
-        for o in allowed(i, j):
+        opts = allowed(i, j)
+        if pos == 0:
+            opts = (first,) if first in opts else ()
+        for o in opts:
             bits[i][j] = o
             yield from rec(pos + 1)
         bits[i][j] = NOEXIST
@@ -267,22 +271,37 @@ def _enumerate_bitmaps(dims: BuddyDims, drop: str | None):
 
 
 def _oracle_chunk(args):
-    """Worker: enumerate completions of one level-0 root prefix."""
-    dims, drop, prefix = args
+    """Worker: enumerate the assignments whose first cell is `first`, up to
+    the third counterexample.  Returns the number examined and each
+    counterexample with the count examined when it was found."""
+    dims, drop, first = args
     examined = 0
     counterexamples = []
     fns = _premise_fns(dims)
     active = [p for p in PREMISES if p != drop]
-    for bits in _enumerate_bitmaps(dims, drop):
-        if prefix is not None and tuple(bits[0][: len(prefix)]) != prefix:
-            continue
+    for bits in _enumerate_bitmaps(dims, drop, first):
         examined += 1
         if not all(fns[p](bits) for p in active):  # honest re-check of pruning
             raise AssertionError("pruning disagrees with the invariant predicates")
         if not mem_part(dims, bits):
-            counterexamples.append(bits)
+            counterexamples.append((examined, bits))
             if len(counterexamples) >= 3:
                 break
+    return examined, counterexamples
+
+
+def _merge_chunks(chunks) -> tuple[int, list]:
+    """The examined count and the counterexamples of one search over all
+    chunks, taken in enumeration order and stopped at the third
+    counterexample, so that the report does not depend on the worker
+    count."""
+    examined, counterexamples = 0, []
+    for ex, found in chunks:
+        for at, bits in found:
+            counterexamples.append(bits)
+            if len(counterexamples) == 3:
+                return examined + at, counterexamples
+        examined += ex
     return examined, counterexamples
 
 
@@ -308,18 +327,14 @@ def partition_theorem_oracle(
             detail={**_estimate_detail(estimate), "budget": budget},
         )
 
-    if workers > 1 and dims.bits_len(0) >= 1:
+    tasks = [(dims, drop_premise, first) for first in BLOCK_STATES]
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        prefixes = [(s,) for s in BLOCK_STATES]
-        tasks = [(dims, drop_premise, p) for p in prefixes]
-        examined, counterexamples = 0, []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for ex, cx in pool.map(_oracle_chunk, tasks):
-                examined += ex
-                counterexamples.extend(cx)
+            examined, counterexamples = _merge_chunks(pool.map(_oracle_chunk, tasks))
     else:
-        examined, counterexamples = _oracle_chunk((dims, drop_premise, None))
+        examined, counterexamples = _merge_chunks(map(_oracle_chunk, tasks))
 
     if counterexamples:
         counterexamples.sort()
@@ -578,19 +593,6 @@ def mblk_valid(layout: BuddyLayout, s: tuple, sz: int, mblk: tuple) -> bool:
         return False
     size = dims.level_size(level)
     return data == size * block and size >= sz
-
-
-def alloc_pre(layout: BuddyLayout, t: str) -> StateSet:
-    inv = kernel_inv(layout)
-
-    def pred(s: tuple) -> bool:
-        return (
-            inv(s)
-            and layout.lvar(s, "allocating_node", t) is None
-            and layout.lvar(s, "freeing_node", t) is None
-        )
-
-    return StateSet(layout.schema, native=pred, name=f"alloc_pre[{t}]")
 
 
 def alloc_post(layout: BuddyLayout, t: str, sz: int, tmo: int) -> StateSet:
@@ -1144,7 +1146,6 @@ class BuddyModel:
     rely: RelDesc  # environment of the whole kernel: clock advance
     thread_systems: dict[str, EventSystem]
     alloc_instances: dict[str, list[tuple[int, int]]]  # thread -> (sz, tmo)
-    free_instances: dict[str, list[tuple[int, int]]]  # thread -> (level, block)
     invariants: dict[str, Callable[[tuple], bool]]
     guarantees: dict[str, RelDesc]
 
@@ -1187,7 +1188,6 @@ def build_kernel_model(dims: BuddyDims | None = None, force: bool = False) -> Bu
 
     thread_systems: dict[str, EventSystem] = {}
     alloc_instances: dict[str, list] = {}
-    free_instances: dict[str, list] = {}
     always = StateSet(schema, Lit(True))
     for t in dims.threads:
         frees = []
@@ -1232,7 +1232,6 @@ def build_kernel_model(dims: BuddyDims | None = None, force: bool = False) -> Bu
             always, EsChoice(arms[0], arms[1]) if len(arms) == 2 else arms[0]
         )
         alloc_instances[t] = [(sz, tmo) for sz in dims.alloc_sizes for tmo in dims.timeouts]
-        free_instances[t] = list(dims.free_blocks)
 
     sched_set, timeout_set = build_sched_events(layout)
     sched_sys = EsIter(always, EsChoice(EsAtomic(sched_set), EsAtomic(timeout_set)))
@@ -1264,7 +1263,7 @@ def build_kernel_model(dims: BuddyDims | None = None, force: bool = False) -> Bu
     guarantees = {t: thread_guarantee(layout, t) for t in dims.threads}
     return BuddyModel(
         dims, layout, ctx, pes, rely, thread_systems,
-        alloc_instances, free_instances, invariants, guarantees,
+        alloc_instances, invariants, guarantees,
     )
 
 

@@ -599,20 +599,24 @@ def soundness_crosscheck(
     budget: int = 1_000_000,
     init_mode: str = "default",
     graph: ConfigGraph | None = None,
+    proof: Verdict | None = None,
 ) -> Verdict:
     """prove = PASS must imply semantic validity = PASS; a FAIL here is an
-    engine bug, never a model bug.  Vacuous PASS when prove fails.  Both
-    sides use one graph of (target, spec.pre, spec.rely): `graph` when
-    given, else one built here."""
+    engine bug, never a model bug.  Vacuous PASS when prove fails.
+    `proof` is the caller's verdict of `prove`; without it the outline is
+    proved over the reachable universe of the graph.  Validity is checked
+    on the graph of (target, spec.pre, spec.rely): `graph` when given,
+    else one built here."""
     check = "soundness-crosscheck"
-    if graph is None:
+    if graph is None and (proof is None or proof.passed):
         try:
             graph = build_graph(ctx, target, spec.pre, spec.rely, budget=budget, init_mode=init_mode)
         except Exception as e:  # noqa: BLE001
             return ok(check, detail={"prove": graph_diag("prove", e).result, "vacuous": True})
-    pv = prove(ctx, target, spec, outline, universe=reachable_universe(graph), budget=budget)
-    if not pv.passed:
-        return ok(check, detail={"prove": pv.result, "vacuous": True})
+    if proof is None:
+        proof = prove(ctx, target, spec, outline, universe=reachable_universe(graph), budget=budget)
+    if not proof.passed:
+        return ok(check, detail={"prove": proof.result, "vacuous": True})
     vv = check_validity(ctx, target, spec, graph=graph)
     if vv.passed:
         return ok(check, detail={"prove": "PASS", "validity": "PASS"})

@@ -153,8 +153,8 @@ def cmd_check(args, rep: Reporter) -> None:
                 v = prove(ctx, target, spec, outline, universe=universe, budget=args.budget)
         rep.emit(v, args.target)
         if args.crosscheck:
-            v2 = soundness_crosscheck(ctx, target, spec, outline,
-                                      budget=args.budget, init_mode=args.init_mode, graph=graph)
+            v2 = soundness_crosscheck(ctx, target, spec, outline, budget=args.budget,
+                                      init_mode=args.init_mode, graph=graph, proof=v)
             rep.emit(v2, args.target)
     elif args.what == "inv":
         target = _target(mf, args.target)
@@ -272,12 +272,12 @@ def cmd_bpel(args, rep: Reporter) -> None:
         s0 = bctx.schema.initial_state()
         rely = _tick_rely(bf)
         mutations = [args.mutation] if args.mutation else sorted(bp.MUTATIONS)
+        acts = [bf.activities[n] for n in names]
         for mutation in mutations:
-            for name in names:
-                act = bf.activities[name]
+            vi = bp.check_compile_injective(bctx, acts, mutation=mutation)
+            for name, act in zip(names, acts):
                 vb = bp.check_bisim(bctx, act, s0, mutation=mutation, budget=args.budget, env_rel=rely)
                 vt = bp.check_trace_equiv(bctx, act, s0, rely, args.max_len, mutation=mutation)
-                vi = bp.check_compile_injective(bctx, [bf.activities[n] for n in names], mutation=mutation)
                 detected = vb.failed or vt.failed or vi.failed
                 v = Verdict(
                     "PASS" if detected else "FAIL",
@@ -424,7 +424,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.cmd != "fmt":
         rep.header(argv)
     try:
-        args.workers = getattr(args, "workers", 1)
         args.fn(args, rep)
     except (LoadError, OSError) as e:
         return _usage_error(str(e))

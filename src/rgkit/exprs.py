@@ -227,10 +227,6 @@ BOOL = BoolType()
 ANYINT = IntType(-(2**62), 2**62)
 
 
-def _is_int(t: Type) -> bool:
-    return isinstance(t, IntType)
-
-
 def _compat(a: Type, b: Type) -> bool:
     """Structural compatibility for equality and merging (ints ignore bounds)."""
     if isinstance(a, IntType) and isinstance(b, IntType):
@@ -962,7 +958,3 @@ def render_expr(e: Expr, prec: int = 0) -> str:
     if isinstance(e, ExistsLt):
         return wrap(f"ANY {e.var} < {render_expr(e.bound, 5)} : {render_expr(e.body, 1)}", 1)
     raise AssertionError(f"unknown node {e!r}")
-
-
-TRUE = Lit(True)
-FALSE = Lit(False)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from . import bpel as bp
 from .adapters import (
@@ -103,23 +103,6 @@ from .values import (
     render_value,
 )
 
-KEYWORDS = {
-    "MODEL", "BPEL", "ADAPTER", "SCHEMA", "END", "INIT", "SET", "REL", "RULE",
-    "WHEN", "DO", "ID", "UNIV", "FULL", "RGSPEC", "PRE", "RELY", "GUAR", "POST",
-    "PROGRAM", "EVENT", "ESYS", "PES", "OUTLINE", "BUDDY", "BUILTIN", "VALUES",
-    "INT", "BOOL", "SYM", "SEQ", "OF", "REC", "OPT", "NONE", "SOME",
-    "SKIP", "IF", "THEN", "ELSE", "FI", "WHILE", "OD", "AWAIT", "ATOM", "FOR", "ROF",
-    "EVT", "AEVT", "TRG", "LOOP", "CHOICE", "JOIN", "FIN",
-    "AND", "OR", "NOT", "IMPLIES", "IN", "DIV", "MOD", "ALL", "ANY",
-    "LEN", "APPEND", "UPDATE", "REMOVE", "HEAD", "TAIL", "SETFIELD", "SETFIELDAT",
-    "ISSOME", "THE", "COND", "true", "false",
-    "BASICEVT", "ATOMEVT", "TRGEVT", "SEQ2", "ITER", "CONSEQ", "PAR",
-    "LINKS", "TICKMAX", "ACTIVITY", "INVOKE", "RECEIVE", "REPLY", "ASSIGN",
-    "WAIT", "EMPTY", "FLOW", "PICK", "REPEATUNTIL", "FOREACH",
-    "TARGETS", "SOURCES", "SPEC", "CATCH", "CATCHALL", "ONMESSAGE", "ONALARM",
-    "THREADS",
-}
-
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -195,10 +178,9 @@ class BpelFile:
 
 
 class Parser:
-    def __init__(self, text: str, builtins: dict[str, Callable] | None = None):
+    def __init__(self, text: str):
         self.toks = tokenize(text)
         self.i = 0
-        self.builtins = builtins or {}
 
     # -- token utilities --------------------------------------------------
     def peek(self) -> Tok:
@@ -206,9 +188,6 @@ class Parser:
 
     def at(self, text: str) -> bool:
         return self.peek().text == text and self.peek().kind in ("id", "op")
-
-    def at_id(self) -> bool:
-        return self.peek().kind == "id"
 
     def next(self) -> Tok:
         t = self.toks[self.i]
@@ -635,16 +614,7 @@ class Parser:
                 sname = self.ident()
                 self.expect(":=")
                 m = need_mf()
-                if self.at("BUILTIN"):
-                    self.next()
-                    bname = self.ident()
-                    factory = self.builtins.get(bname)
-                    if factory is None:
-                        raise LoadError(f"unknown builtin {bname!r}", (t.line, t.col))
-                    m.sets[sname] = factory(m.schema)
-                else:
-                    expr = self.parse_expr()
-                    m.sets[sname] = StateSet(m.schema, expr)
+                m.sets[sname] = StateSet(m.schema, self.parse_expr())
                 m.source_order.append(("SET", sname))
             elif self.at("REL"):
                 self.next()
@@ -1235,20 +1205,20 @@ def _expand_named(m: ModelFile, ename: str):
     return evset
 
 
-def parse_pcm(text: str, builtins: dict | None = None) -> ModelFile:
-    return Parser(text, builtins).parse_pcm()
+def parse_pcm(text: str) -> ModelFile:
+    return Parser(text).parse_pcm()
 
 
 def parse_bpc(text: str) -> BpelFile:
     return Parser(text).parse_bpc()
 
 
-def load(path: str, builtins: dict | None = None):
+def load(path: str):
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
     if path.endswith(".bpc"):
         return parse_bpc(text)
-    return parse_pcm(text, builtins)
+    return parse_pcm(text)
 
 
 # ----------------------------------------------------------------------

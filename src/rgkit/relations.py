@@ -104,11 +104,6 @@ def complement(a: StateSet) -> StateSet:
     return StateSet(a.schema, native=lambda s: not fa(s), name=f"(NOT {a.name})")
 
 
-def union_sets(schema: Schema, sets: list[StateSet], name: str) -> StateSet:
-    fns = [x.holds for x in sets]
-    return StateSet(schema, native=lambda s: any(f(s) for f in fns), name=name)
-
-
 Assign = tuple[str, Expr]
 
 
@@ -151,6 +146,9 @@ class RelRule:
         self._apply = compile_assigns(self.guard.schema, self.assigns)
 
 
+FULL_BUDGET = 200_000  # most states a "full" relation enumerates
+
+
 class RelDesc:
     """State relation.
 
@@ -168,7 +166,6 @@ class RelDesc:
         includes_identity: bool = False,
         pair_pred: Callable[[tuple, tuple], bool] | None = None,
         name: str | None = None,
-        full_budget: int = 200_000,
     ):
         assert kind in ("rules", "full", "univ", "pred")
         self.schema = schema
@@ -177,7 +174,6 @@ class RelDesc:
         self.includes_identity = includes_identity
         self.pair_pred = pair_pred
         self.name = name
-        self.full_budget = full_budget
         self._all_states: list[tuple] | None = None
         if kind == "pred" and pair_pred is None:
             raise LoadError("pred relation needs a pair predicate")
@@ -199,7 +195,7 @@ class RelDesc:
             return out
         if self.kind == "full":
             if self._all_states is None:
-                self._all_states = self.schema.all_states(self.full_budget)
+                self._all_states = self.schema.all_states(FULL_BUDGET)
             return self._all_states
         raise NotGenerative(
             f"relation {self.name or self.kind} has no successor generator"
@@ -246,8 +242,8 @@ def univ_rel(schema: Schema) -> RelDesc:
     return RelDesc(schema, "univ", name="UNIV")
 
 
-def full_rel(schema: Schema, budget: int = 200_000) -> RelDesc:
-    return RelDesc(schema, "full", name="FULL", full_budget=budget)
+def full_rel(schema: Schema) -> RelDesc:
+    return RelDesc(schema, "full", name="FULL")
 
 
 @dataclass(frozen=True)
@@ -341,7 +337,3 @@ TRUE_SET_EXPR = Lit(True)
 
 def true_set(schema: Schema) -> StateSet:
     return StateSet(schema, TRUE_SET_EXPR)
-
-
-def false_set(schema: Schema) -> StateSet:
-    return StateSet(schema, Lit(False))

@@ -223,8 +223,7 @@ Spec = Any  # EventSystem | ParallelEventSystem | program configurations
 class ConfigGraph:
     """Finite closure of configurations under component and env steps."""
 
-    node_index: dict  # (spec, state) -> int, insertion = BFS order
-    nodes: list  # idx -> (spec, state)
+    nodes: list  # idx -> (spec, state), in BFS order
     comp_edges: list  # (src_idx, ActionLabel, dst_idx)
     env_edges: list  # (src_idx, dst_idx)
     initials: list  # node indices
@@ -269,12 +268,11 @@ def build_graph(
     to small ints in tables that live for this call only (`_Tables`); a
     configuration is the pair (spec id, state id).  The ids change no
     node, edge, parent or exception:
-      * an id is the equality class of a value, and the `node_index` keys
-        were already compared by equality, so (spec id, state id) pairs
-        name the same configurations in the same BFS order;
+      * an id is the equality class of a value, and configurations were
+        already told apart by equality, so (spec id, state id) pairs name
+        the same configurations in the same BFS order;
       * `nodes` holds the first object of each class, and equal objects
-        render alike, so dumps and witnesses do not change;
-      * `node_index` is filled from `nodes` after the search.
+        render alike, so dumps and witnesses do not change.
     Every step is a pure function of what its memo key names, within one
     build where `ctx` and `rely` are fixed:
       * `rely.successors` runs once per state id;
@@ -354,9 +352,7 @@ def build_graph(
                 parents[jdx] = (idx, "env", None)
                 work.append(jdx)
 
-    del tables, index, confs, env_succs  # lowers peak memory: freed before node_index is built
-    node_index = dict(zip(nodes, range(len(nodes))))
-    return ConfigGraph(node_index, nodes, comp_edges, env_edges, initials, parents)
+    return ConfigGraph(nodes, comp_edges, env_edges, initials, parents)
 
 
 def render_conf(ctx: Ctx, conf) -> str:

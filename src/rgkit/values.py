@@ -94,21 +94,6 @@ class OptType:
 
 Type = IntType | BoolType | SymType | SeqType | RecType | OptType
 
-NONE = None
-
-
-def some(v: Any) -> tuple:
-    return (v,)
-
-
-def is_some(v: Any) -> bool:
-    return v is not None
-
-
-def the(v: Any, typ: OptType) -> Any:
-    """Total extraction: THE NONE yields the inner type's default."""
-    return v[0] if v is not None else default_value(typ.inner)
-
 
 def conforms(v: Any, t: Type) -> bool:
     if isinstance(t, BoolType):

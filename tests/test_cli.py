@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from conftest import corpus_path
-from rgkit import cli
+from rgkit import bpel, checker, cli
 from rgkit.buddy import BuddyDims, valid_assignment_estimate
 
 
@@ -153,15 +153,34 @@ def test_bpel_inject_cli_detects():
     assert rec["detail"]["bisim"] == "FAIL" and rec["detail"]["trace_equiv"] == "FAIL"
 
 
+@pytest.mark.parametrize("argv, checks", [
+    (["--mutation", "drop-fire-sources"], 1),
+    ([], 5),
+])
+def test_bpel_inject_one_injectivity_check_per_mutation(monkeypatch, argv, checks):
+    calls = []
+    orig = bpel.check_compile_injective
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return orig(*a, **kw)
+
+    monkeypatch.setattr(bpel, "check_compile_injective", counted)
+    code, _ = run_cli(["bpel", "inject", corpus_path("bpel_suite.bpc")] + argv)
+    assert code in (0, 1)  # 1: a mutation goes undetected on some activity
+    assert len(calls) == checks
+
+
 def test_oracle_cli_workers_byte_identical():
-    argv1 = ["--workers", "1", "oracle", "--n-max", "1", "--n-levels", "2"]
-    argv2 = ["--workers", "2", "oracle", "--n-max", "1", "--n-levels", "2"]
-    code1, out1 = run_cli(argv1)
-    code2, out2 = run_cli(argv2)
-    assert code1 == code2 == 0
-    s1 = strip_millis(out1).replace('"command": ["--workers", "1", ', '"command": [')
-    s2 = strip_millis(out2).replace('"command": ["--workers", "2", ', '"command": [')
-    assert s1 == s2
+    for drop, code in (([], 0), (["--drop", "inv_bitmapn"], 1)):
+        argv1 = ["--workers", "1", "oracle", "--n-max", "1", "--n-levels", "2"] + drop
+        argv2 = ["--workers", "2", "oracle", "--n-max", "1", "--n-levels", "2"] + drop
+        code1, out1 = run_cli(argv1)
+        code2, out2 = run_cli(argv2)
+        assert code1 == code2 == code
+        s1 = strip_millis(out1).replace('"command": ["--workers", "1", ', '"command": [')
+        s2 = strip_millis(out2).replace('"command": ["--workers", "2", ', '"command": [')
+        assert s1 == s2
 
 
 def test_fmt_roundtrip():
@@ -216,6 +235,59 @@ def test_one_graph_build_per_command(build_calls, argv, builds):
     code, _ = run_cli(argv)
     assert code == 0
     assert len(build_calls) == builds
+
+
+@pytest.mark.parametrize("universe", ["reachable", "full"])
+def test_one_proof_per_prove_crosscheck(monkeypatch, universe):
+    calls = []
+    orig = checker.prove
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return orig(*a, **kw)
+
+    monkeypatch.setattr(checker, "prove", counted)
+    monkeypatch.setattr(cli, "prove", counted)
+    code, _ = run_cli(PROVE_ITER + ["--universe", universe, "--crosscheck"])
+    assert code == 0
+    assert len(calls) == 1
+
+
+# The CONSEQ's post-subset premise fails only at x = 0, y = 2, which the
+# program cannot reach: the full-universe proof fails, the reachable one passes.
+CONSEQ_UNREACHABLE = """MODEL conseq_unreachable
+ADAPTER imp
+SCHEMA
+  x : INT 0..1 INIT 0
+  y : INT 0..2 INIT 0
+END
+SET x0y0 := x = 0 AND y = 0
+SET x1 := x = 1
+SET x1_or_y2 := x = 1 OR y = 2
+REL id := ID END
+REL guar_x1 := ID RULE WHEN true DO x := 1 END END
+RGSPEC outer := PRE x0y0 RELY id GUAR guar_x1 POST x1
+RGSPEC inner := PRE x0y0 RELY id GUAR guar_x1 POST x1_or_y2
+EVENT set1 WHEN true THEN x := 1 END
+ESYS s := EVT set1
+OUTLINE o := CONSEQ [inner] (BASICEVT)
+"""
+
+
+@pytest.mark.parametrize("universe, code, proof, crosscheck", [
+    ("full", 1, "FAIL", {"prove": "FAIL", "vacuous": True}),
+    ("reachable", 0, "PASS", {"prove": "PASS", "validity": "PASS"}),
+])
+def test_crosscheck_takes_the_printed_proof(tmp_path, universe, code, proof, crosscheck):
+    model = tmp_path / "conseq_unreachable.pcm"
+    model.write_text(CONSEQ_UNREACHABLE)
+    got, out = run_cli(["check", "prove", str(model), "--target", "s", "--spec", "outer",
+                        "--outline", "o", "--universe", universe, "--crosscheck"])
+    assert got == code
+    prove, cross = records(out)[1:]
+    assert (prove["check"], prove["result"], prove["universe"]) == ("prove", proof, universe)
+    assert (cross["check"], cross["result"]) == ("soundness-crosscheck", "PASS")
+    assert cross["detail"] == crosscheck
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -273,6 +345,7 @@ def test_full_universe_over_budget_is_diagnostic(argv, expected):
     assert strip_millis(out).splitlines()[1:] == [json.dumps(expected, sort_keys=True)]
 
 
+BUILTIN_SET = "<model declaring SET s := BUILTIN inv>"
 EQUIV_E04 = ["check", "equiv-cpts", corpus_path("cpts_suite.pcm"), "--target", "e04",
              "--pre", "init0", "--universe-rel", "full", "--max-len", "2"]
 
@@ -289,11 +362,19 @@ EQUIV_E04 = ["check", "equiv-cpts", corpus_path("cpts_suite.pcm"), "--target", "
     (["demo", "buddy", "--threads", "t1,t2,t3,t4"],
      "dims too large for desk-scale checking (cost estimate 751868325000); "
      "pass force=True to override"),
+    (["fmt", BUILTIN_SET], None),
 ])
-def test_usage_errors(argv, message, capsys):
-    code, _ = run_cli(argv)
+def test_usage_errors(argv, message, capsys, tmp_path):
+    model = tmp_path / "builtin_set.pcm"
+    model.write_text("MODEL m\nADAPTER imp\nSCHEMA\n  x : INT 0..1 INIT 0\nEND\n"
+                     "SET s := BUILTIN inv\n")
+    code, _ = run_cli([str(model) if a == BUILTIN_SET else a for a in argv])
     assert code == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    err = capsys.readouterr().err
+    if message is None:  # any parse error: the model file has no BUILTIN syntax
+        assert re.fullmatch(r"error: [^\n]+\n", err)
+    else:
+        assert err == f"error: {message}\n"
 
 
 def test_engine_fault_is_internal_error(monkeypatch, capsys):

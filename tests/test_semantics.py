@@ -220,14 +220,14 @@ def test_dump_graph_deterministic():
 def reference_build(ctx, root, init_states, rely, budget=1_000_000) -> ConfigGraph:
     """The plain BFS: `step_es` per system and `ps.update` on every step,
     with no memo.  A test oracle for `build_graph`."""
-    node_index, nodes, comp_edges, env_edges, parents, initials = {}, [], [], [], {}, []
+    index, nodes, comp_edges, env_edges, parents, initials = {}, [], [], [], {}, []
 
     def intern(conf):
-        if conf in node_index:
-            return node_index[conf], False
+        if conf in index:
+            return index[conf], False
         if len(nodes) >= budget:
             raise DomainOverflow("<node budget>", len(nodes) + 1)
-        node_index[conf] = len(nodes)
+        index[conf] = len(nodes)
         nodes.append(conf)
         return len(nodes) - 1, True
 
@@ -257,7 +257,7 @@ def reference_build(ctx, root, init_states, rely, budget=1_000_000) -> ConfigGra
             if new:
                 parents[jdx] = (idx, "env", None)
                 work.append(jdx)
-    return ConfigGraph(node_index, nodes, comp_edges, env_edges, initials, parents)
+    return ConfigGraph(nodes, comp_edges, env_edges, initials, parents)
 
 
 def outcome(build):
@@ -277,7 +277,6 @@ def assert_same_outcome(ctx, root, init_states, rely, budget=1_000_000, dump=Tru
     if isinstance(g, tuple) or isinstance(ref, tuple):
         assert g == ref
         return g
-    assert list(g.node_index.items()) == list(ref.node_index.items())
     assert g.nodes == ref.nodes
     assert g.comp_edges == ref.comp_edges
     assert g.env_edges == ref.env_edges
