@@ -136,19 +136,45 @@ def imp_step(ctx: AdapterContext, p: ImpProgram, s: tuple) -> list[tuple[Any, tu
     raise LoadError(f"not an IMP program: {p!r}")
 
 
+def _loop_free(p) -> bool:
+    """Whether IMP program `p` contains no While, cached on the node as
+    `_basic_apply` caches `_apply`.  Every IMP step of such a program
+    leaves a strictly smaller program (a PSeq loses part of its head, a
+    Cond becomes a branch, a Basic or an Await finishes), so its step
+    graph has no cycle."""
+    if p is None:
+        return True
+    try:
+        return object.__getattribute__(p, "_loop_free")
+    except AttributeError:
+        if isinstance(p, PSeq):
+            free = _loop_free(p.a) and _loop_free(p.b)
+        elif isinstance(p, Cond):
+            free = _loop_free(p.then) and _loop_free(p.other)
+        elif isinstance(p, Await):
+            free = _loop_free(p.body)
+        else:
+            free = not isinstance(p, While)
+        object.__setattr__(p, "_loop_free", free)
+        return free
+
+
 def terminal_states(ctx, step, p, s, where: str) -> list[tuple]:
     """All t with (terminal, t) reachable from (p, s) by the step closure.
 
     Detects cycles in the body's configuration graph and reports them as
-    divergence (bodies are assumed to terminate)."""
+    divergence (bodies are assumed to terminate).  An IMP body without a
+    While needs no cycle search (see `_loop_free`)."""
     start = (p, s)
     seen = {start}
     order: list[tuple] = []
+    terminals: set = set()
     queue: deque = deque([start])
     edges: dict = {}
     while queue:
         conf = queue.popleft()
-        if conf[0] is None and conf[1] not in order:
+        if conf[0] is None and conf[1] not in terminals:
+            terminals.add(conf[1])
             order.append(conf[1])
         succs = step(ctx, conf[0], conf[1]) if conf[0] is not None else []
         edges[conf] = succs
@@ -157,6 +183,8 @@ def terminal_states(ctx, step, p, s, where: str) -> list[tuple]:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
+    if step is imp_step and _loop_free(p):
+        return order
     # cycle detection over the explored finite graph
     WHITE, GREY, BLACK = 0, 1, 2
     colour = {c: WHITE for c in edges}

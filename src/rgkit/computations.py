@@ -12,6 +12,23 @@ The linear construction extends computations one transition at a time;
 the modular construction recurses over the structure of the event system.
 Both are enumerated to a length bound and compared; individual modular
 rules can be disabled to demonstrate the comparison notices.
+
+Both enumerate over a hash-consing table (`_Table`): each configuration
+(spec, state) and each step kind (ENV or ("comp", label)) gets a small
+int in order of first appearance, and a computation is the flat tuple
+(conf, kind, conf, ..., conf) of those ids, which hashes in C.  The ids
+change no set: an id names an equality class, and computations were
+already told apart by equality, so two flat tuples are equal exactly when
+the computations they stand for are.  The public functions convert the
+finished set to `Computation` objects once, from the first object of each
+class, and equal objects render alike, so counts, witnesses and reports
+do not change.  Every step is a pure function of the configuration it is
+memoised on, within one table where `ctx`, the universe, `k` and the
+disabled rules are fixed; a call that raises stores nothing, and each
+step is first taken at the point the rules take it, so the first
+exception is the same as without the memos.  (CptsMIterTMore steps the
+body computations of an iteration in set order, which follows the ids
+here and followed the string hash seed before.)
 """
 
 from __future__ import annotations
@@ -20,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .events import (
+    ActionLabel,
     EsAtomic,
     EsBasic,
     EsChoice,
@@ -34,7 +52,7 @@ from .events import (
     tau,
 )
 from .adapters import AwaitDivergence, terminal_states
-from .semantics import AtomDivergence, Ctx, step_es
+from .semantics import AtomDivergence, Ctx, _Intern, step_es
 from .relations import RelDesc, StateSet, solve_states
 from .verdicts import Verdict, fail, ok
 
@@ -98,6 +116,218 @@ MODULAR_RULES = (
     "CptsMIterTMore",
 )
 
+_ENV_ID = 0  # kind id of ENV in every table
+
+
+class _Table:
+    """Intern tables, step memos and the modular memo of one check (see
+    the module docstring).  A path is a flat tuple of ids."""
+
+    __slots__ = (
+        "ctx", "rely", "k", "on", "ids", "confs", "fin", "kind",
+        "env", "steps", "moves", "lifts", "paths",
+    )
+
+    def __init__(self, ctx: Ctx, rely: RelDesc, k: Any, disabled: frozenset[str] = frozenset()):
+        for d in disabled:
+            assert d in MODULAR_RULES, d
+        self.ctx, self.rely, self.k = ctx, rely, k
+        self.on = {rule: rule not in disabled for rule in MODULAR_RULES}
+        self.ids: dict = {}  # (spec, state) -> conf id
+        self.confs: list = []  # conf id -> (spec, state)
+        self.fin: list = []  # conf id -> whether its spec is FIN
+        self.kind = _Intern()
+        self.kind(ENV)
+        self.env: dict = {}  # conf id -> [(ENV id, conf id of (spec, t))] for t in the universe
+        self.steps: dict = {}  # conf id -> [(kind id, conf id)] of step_es
+        self.moves: dict = {}  # conf id -> [(kind id, conf id)] by the modular rules
+        self.lifts: dict = {}  # q -> {conf id -> conf id of (EsSeq(spec, q), state)}
+        self.paths: dict = {}  # (conf id, budget) -> set of modular paths
+
+    def conf(self, spec, st) -> int:
+        key = (spec, st)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.confs)
+            self.confs.append(key)
+            self.fin.append(is_fin(spec))
+        return i
+
+    def computations(self, paths) -> frozenset[Computation]:
+        confs, kinds = self.confs, self.kind.objs
+        return frozenset(
+            Computation(tuple(map(confs.__getitem__, p[::2])), tuple(map(kinds.__getitem__, p[1::2])))
+            for p in paths
+        )
+
+    def env_of(self, c: int) -> list[tuple[int, int]]:
+        out = self.env.get(c)
+        if out is None:
+            spec, st = self.confs[c]
+            out = self.env[c] = [(_ENV_ID, self.conf(spec, t)) for t in self.rely.successors(st)]
+        return out
+
+    def steps_of(self, c: int) -> list[tuple[int, int]]:
+        out = self.steps.get(c)
+        if out is None:
+            spec, st = self.confs[c]
+            kind, conf = self.kind, self.conf
+            out = self.steps[c] = [
+                (kind(comp_kind(lbl)), conf(spec2, t))
+                for lbl, spec2, t in step_es(self.ctx, spec, st, self.k)
+            ]
+        return out
+
+    # -- linear ----------------------------------------------------------
+    def linear(self, c0: int, max_len: int) -> set[tuple]:
+        """Paths of length <= max_len from c0 by the three linear rules,
+        in the depth-first order of the rules as written."""
+        assert max_len >= 1
+        out: set = set()
+        stack = [(c0,)]
+        pop, push, add = stack.pop, stack.extend, out.add
+        longest = 2 * max_len - 1  # flat length of a max_len computation
+        while stack:
+            p = pop()
+            add(p)
+            if len(p) < longest:
+                c = p[-1]
+                push(map(p.__add__, self.env_of(c)))
+                push(map(p.__add__, self.steps_of(c)))
+        return out
+
+    # -- modular ---------------------------------------------------------
+    def modular(self, c: int, budget: int) -> set[tuple]:
+        """Paths of length <= budget from c by the enabled modular rules;
+        the returned set is shared through the memo and never mutated."""
+        key = (c, budget)
+        out = self.paths.get(key)
+        if out is not None:
+            return out
+        on = self.on
+        out = {(c,)} if on["CptsMOne"] else set()
+        if budget >= 2:
+            b = budget - 1
+            if on["CptsMEnv"]:
+                self._extend(out, c, self.env_of(c), b)
+            moves = self.moves.get(c)
+            if moves is None:
+                moves = []
+                for group in self._move_groups(c):
+                    self._extend(out, c, group, b)
+                    moves += group
+                self.moves[c] = moves
+            else:
+                self._extend(out, c, moves, b)
+            spec, st = self.confs[c]
+            if isinstance(spec, EsIter) and spec.cond.holds(st):
+                self._iterate(out, c, spec, st, b)
+        self.paths[key] = out
+        return out
+
+    def _extend(self, out: set, c: int, moves: list, b: int) -> None:
+        for kd, x in moves:
+            out.update(map((c, kd).__add__, self.modular(x, b)))
+
+    def _move_groups(self, c: int):
+        """The moves of `c` by every enabled modular rule except the
+        iteration head's, one group per step the rules take, generated
+        lazily so that each group is stepped right before the enumeration
+        recurses into it, as the rules are written."""
+        spec, st = self.confs[c]
+        on, k, kind, conf = self.on, self.k, self.kind, self.conf
+        if isinstance(spec, EsTriggered) and spec.prog is not None:
+            ctx = self.ctx
+            tau_k = kind(comp_kind(tau(k)))
+            yield [
+                (tau_k, conf(EsTriggered(q), t))
+                for q, t in ctx.adapter.step(ctx.actx, spec.prog, st)
+                if on["CptsMTrgEvtFin" if q is None else "CptsMTrgEvt"]
+            ]
+        elif isinstance(spec, EsBasic):
+            if on["CptsMBasicEvt"]:
+                for inst in spec.events.instances:
+                    if inst.guard.holds(st):
+                        lbl = kind(comp_kind(ActionLabel("evt", inst.label, k)))
+                        yield [(lbl, conf(EsTriggered(inst.body), st))]
+        elif isinstance(spec, EsAtomic):
+            if on["CptsMAtomEvt"]:
+                ctx = self.ctx
+                for inst in spec.events.instances:
+                    if inst.guard.holds(st):
+                        try:
+                            terms = terminal_states(
+                                ctx.actx, ctx.adapter.step, inst.body, st, inst.label
+                            )
+                        except AwaitDivergence as d:
+                            raise AtomDivergence(inst.label) from d
+                        lbl = kind(comp_kind(ActionLabel("aevt", inst.label, k)))
+                        yield [(lbl, conf(FIN, t)) for t in terms]
+        elif isinstance(spec, EsSeq):
+            group = []
+            for kd, x in self.steps_of(conf(spec.a, st)):
+                a2, t = self.confs[x]
+                if self.fin[x]:
+                    if on["CptsMSeqFin"]:
+                        group.append((kd, conf(spec.b, t)))
+                elif on["CptsMSeq"]:
+                    group.append((kd, conf(EsSeq(a2, spec.b), t)))
+            yield group
+        elif isinstance(spec, EsChoice):
+            if on["CptsMChc1"]:
+                yield self.steps_of(conf(spec.a, st))
+            if on["CptsMChc2"]:
+                yield self.steps_of(conf(spec.b, st))
+        elif isinstance(spec, EsJoin):
+            if is_fin(spec.a) and is_fin(spec.b) and on["CptsMJoinFin"]:
+                yield [(kind(comp_kind(tau(k))), conf(FIN, st))]
+            if on["CptsMJoin1"]:
+                yield [
+                    (kd, conf(EsJoin(self.confs[x][0], spec.b), self.confs[x][1]))
+                    for kd, x in self.steps_of(conf(spec.a, st))
+                ]
+            if on["CptsMJoin2"]:
+                yield [
+                    (kd, conf(EsJoin(spec.a, self.confs[x][0]), self.confs[x][1]))
+                    for kd, x in self.steps_of(conf(spec.b, st))
+                ]
+        elif isinstance(spec, EsIter):
+            if not spec.cond.holds(st) and on["CptsMIterF"]:
+                yield [(kind(comp_kind(tau(k))), conf(FIN, st))]
+
+    def _iterate(self, out: set, c: int, spec: EsIter, st, b: int) -> None:
+        """CptsMIterTOne and CptsMIterTMore at the iteration head `c`: a
+        body computation that does not finish, lifted by `;; spec`, and,
+        when its last configuration can finish, that step followed by a
+        computation of `spec` again."""
+        fin, confs, conf = self.fin, self.confs, self.conf
+        one, more = self.on["CptsMIterTOne"], self.on["CptsMIterTMore"]
+        head = (c, self.kind(comp_kind(tau(self.k))))
+        lifts = self.lifts.get(spec)
+        if lifts is None:
+            lifts = self.lifts[spec] = {}
+        for p in self.modular(conf(spec.body, st), b):
+            cs = p[::2]
+            if any(map(fin.__getitem__, cs)):
+                continue
+            lifted = list(p)
+            for i, x in enumerate(cs):
+                y = lifts.get(x)
+                if y is None:
+                    a, t = confs[x]
+                    y = lifts[x] = conf(EsSeq(a, spec), t)
+                lifted[2 * i] = y
+            lifted = head + tuple(lifted)
+            if one:
+                out.add(lifted)
+            if more:
+                rem = b - len(cs)
+                if rem >= 1:
+                    for kd, x in self.steps_of(p[-1]):
+                        if fin[x]:
+                            pre = lifted + (kd,)
+                            out.update(map(pre.__add__, self.modular(conf(spec, confs[x][1]), rem)))
+
 
 def cpts_linear(
     ctx: Ctx,
@@ -110,23 +340,8 @@ def cpts_linear(
     """Computations of length <= max_len derivable by the three linear
     rules, environment successors drawn from `rely_universe`."""
     assert max_len >= 1
-    out: set[Computation] = set()
-    stack = [Computation(((s_sys, s),), ())]
-    while stack:
-        c = stack.pop()
-        out.add(c)
-        if len(c) >= max_len:
-            continue
-        spec, st = c.confs[-1]
-        for t in rely_universe.successors(st):
-            stack.append(
-                Computation(c.confs + ((spec, t),), c.kinds + (ENV,))
-            )
-        for lbl, spec2, t in step_es(ctx, spec, st, k):
-            stack.append(
-                Computation(c.confs + ((spec2, t),), c.kinds + (comp_kind(lbl),))
-            )
-    return frozenset(out)
+    table = _Table(ctx, rely_universe, k)
+    return table.computations(table.linear(table.conf(s_sys, s), max_len))
 
 
 def lift_seq_cpt(c: Computation, q: EventSystem) -> Computation:
@@ -135,10 +350,6 @@ def lift_seq_cpt(c: Computation, q: EventSystem) -> Computation:
     return Computation(
         tuple((EsSeq(spec, q), st) for spec, st in c.confs), c.kinds
     )
-
-
-def _has_fin_spec(c: Computation) -> bool:
-    return any(is_fin(spec) for spec, _ in c.confs)
 
 
 def cpts_modular(
@@ -154,128 +365,8 @@ def cpts_modular(
 
     `disabled` removes individual rules (mutation experiments)."""
     assert max_len >= 1
-    for d in disabled:
-        assert d in MODULAR_RULES, d
-    memo: dict = {}
-
-    def on(rule: str) -> bool:
-        return rule not in disabled
-
-    def gen(spec: EventSystem, st: tuple, budget: int) -> frozenset[Computation]:
-        key = (spec, st, budget)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out: set[Computation] = set()
-        me = (spec, st)
-        if on("CptsMOne"):
-            out.add(Computation((me,), ()))
-        if budget >= 2:
-            if on("CptsMEnv"):
-                for t in rely_universe.successors(st):
-                    for c in gen(spec, t, budget - 1):
-                        out.add(c.prepend(me, ENV))
-
-            if isinstance(spec, EsTriggered) and spec.prog is not None:
-                for q, t in ctx.adapter.step(ctx.actx, spec.prog, st):
-                    rule = "CptsMTrgEvtFin" if q is None else "CptsMTrgEvt"
-                    if on(rule):
-                        for c in gen(EsTriggered(q), t, budget - 1):
-                            out.add(c.prepend(me, comp_kind(tau(k))))
-            elif isinstance(spec, EsBasic):
-                if on("CptsMBasicEvt"):
-                    for inst in spec.events.instances:
-                        if inst.guard.holds(st):
-                            lbl = comp_kind(_evt_label("evt", inst.label, k))
-                            for c in gen(EsTriggered(inst.body), st, budget - 1):
-                                out.add(c.prepend(me, lbl))
-            elif isinstance(spec, EsAtomic):
-                if on("CptsMAtomEvt"):
-                    for inst in spec.events.instances:
-                        if inst.guard.holds(st):
-                            try:
-                                terms = terminal_states(
-                                    ctx.actx, ctx.adapter.step, inst.body, st, inst.label
-                                )
-                            except AwaitDivergence as d:
-                                raise AtomDivergence(inst.label) from d
-                            lbl = comp_kind(_evt_label("aevt", inst.label, k))
-                            for t in terms:
-                                for c in gen(FIN, t, budget - 1):
-                                    out.add(c.prepend(me, lbl))
-            elif isinstance(spec, EsSeq):
-                for lbl, a2, t in step_es(ctx, spec.a, st, k):
-                    if is_fin(a2):
-                        if on("CptsMSeqFin"):
-                            for c in gen(spec.b, t, budget - 1):
-                                out.add(c.prepend(me, comp_kind(lbl)))
-                    elif on("CptsMSeq"):
-                        for c in gen(EsSeq(a2, spec.b), t, budget - 1):
-                            out.add(c.prepend(me, comp_kind(lbl)))
-            elif isinstance(spec, EsChoice):
-                if on("CptsMChc1"):
-                    for lbl, a2, t in step_es(ctx, spec.a, st, k):
-                        for c in gen(a2, t, budget - 1):
-                            out.add(c.prepend(me, comp_kind(lbl)))
-                if on("CptsMChc2"):
-                    for lbl, b2, t in step_es(ctx, spec.b, st, k):
-                        for c in gen(b2, t, budget - 1):
-                            out.add(c.prepend(me, comp_kind(lbl)))
-            elif isinstance(spec, EsJoin):
-                if is_fin(spec.a) and is_fin(spec.b):
-                    if on("CptsMJoinFin"):
-                        for c in gen(FIN, st, budget - 1):
-                            out.add(c.prepend(me, comp_kind(tau(k))))
-                if on("CptsMJoin1"):
-                    for lbl, a2, t in step_es(ctx, spec.a, st, k):
-                        for c in gen(EsJoin(a2, spec.b), t, budget - 1):
-                            out.add(c.prepend(me, comp_kind(lbl)))
-                if on("CptsMJoin2"):
-                    for lbl, b2, t in step_es(ctx, spec.b, st, k):
-                        for c in gen(EsJoin(spec.a, b2), t, budget - 1):
-                            out.add(c.prepend(me, comp_kind(lbl)))
-            elif isinstance(spec, EsIter):
-                if not spec.cond.holds(st):
-                    if on("CptsMIterF"):
-                        for c in gen(FIN, st, budget - 1):
-                            out.add(c.prepend(me, comp_kind(tau(k))))
-                else:
-                    bodies = gen(spec.body, st, budget - 1)
-                    head_kind = comp_kind(tau(k))
-                    for c in bodies:
-                        if _has_fin_spec(c):
-                            continue
-                        if on("CptsMIterTOne"):
-                            out.add(lift_seq_cpt(c, spec).prepend(me, head_kind))
-                        if on("CptsMIterTMore"):
-                            last_spec, last_st = c.confs[-1]
-                            rem = budget - 1 - len(c)
-                            if rem >= 1:
-                                for lbl, s2, t in step_es(ctx, last_spec, last_st, k):
-                                    if not is_fin(s2):
-                                        continue
-                                    lifted = lift_seq_cpt(c, spec)
-                                    for c2 in gen(spec, t, rem):
-                                        out.add(
-                                            Computation(
-                                                (me,) + lifted.confs + c2.confs,
-                                                (head_kind,)
-                                                + lifted.kinds
-                                                + (comp_kind(lbl),)
-                                                + c2.kinds,
-                                            )
-                                        )
-        result = frozenset(out)
-        memo[key] = result
-        return result
-
-    return gen(s_sys, s, max_len)
-
-
-def _evt_label(kind: str, label: str, k: Any):
-    from .events import ActionLabel
-
-    return ActionLabel(kind, label, k)
+    table = _Table(ctx, rely_universe, k, disabled)
+    return table.computations(table.modular(table.conf(s_sys, s), max_len))
 
 
 def dump_computations(ctx: Ctx, comps) -> list[list[dict]]:
@@ -318,16 +409,22 @@ def check_linear_modular_equiv(
     k: Any = "es",
 ) -> Verdict:
     """PASS iff the linear and modular sets agree for every initial state,
-    up to max_len.  FAIL carries a computation present in exactly one set."""
+    up to max_len.  FAIL carries a computation present in exactly one set.
+
+    Both constructions run over one table, shared by all initial states,
+    and only the witness is converted to a `Computation`."""
     check = "equiv-cpts"
+    table = _Table(ctx, rely_universe, k, disabled)
     total = 0
     for s in solve_states(pre, mode=init_mode):
-        lin = cpts_linear(ctx, s_sys, s, rely_universe, max_len, k)
-        mod = cpts_modular(ctx, s_sys, s, rely_universe, max_len, k, disabled)
+        c0 = table.conf(s_sys, s)
+        lin = table.linear(c0, max_len)
+        mod = table.modular(c0, max_len)
         total += len(lin)
         if lin != mod:
-            only_lin = sorted(lin - mod, key=lambda c: c.sort_key(ctx.schema))
-            only_mod = sorted(mod - lin, key=lambda c: c.sort_key(ctx.schema))
+            key = lambda c: c.sort_key(ctx.schema)  # noqa: E731
+            only_lin = sorted(table.computations(lin - mod), key=key)
+            only_mod = sorted(table.computations(mod - lin), key=key)
             side = "linear-only" if only_lin else "modular-only"
             w = (only_lin or only_mod)[0]
             return fail(

@@ -15,6 +15,7 @@ and `parse . serialize` is the identity on the loaded model.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -181,6 +182,7 @@ class Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.i = 0
+        self.event_at: dict[str, Tok] = {}  # event name -> its name token
 
     # -- token utilities --------------------------------------------------
     def peek(self) -> Tok:
@@ -209,6 +211,18 @@ class Parser:
     def err(self, msg: str) -> LoadError:
         t = self.peek()
         return LoadError(msg, (t.line, t.col))
+
+    @contextmanager
+    def located(self, t: Tok):
+        """Give a LoadError raised without a position inside the block (by
+        the checks that run after parsing) the position of `t`, the token
+        where the parser started the construct."""
+        try:
+            yield
+        except LoadError as e:
+            if e.pos is not None:
+                raise
+            raise LoadError(e.msg, (t.line, t.col)) from e
 
     # -- types and values -------------------------------------------------
     def parse_type(self) -> Type:
@@ -614,7 +628,8 @@ class Parser:
                 sname = self.ident()
                 self.expect(":=")
                 m = need_mf()
-                m.sets[sname] = StateSet(m.schema, self.parse_expr())
+                with self.located(self.peek()):
+                    m.sets[sname] = StateSet(m.schema, self.parse_expr())
                 m.source_order.append(("SET", sname))
             elif self.at("REL"):
                 self.next()
@@ -643,13 +658,14 @@ class Parser:
                 pname = self.ident()
                 self.expect(":=")
                 m = need_mf()
-                prog = self._finalize_prog(self.parse_stmt(), m.schema)
-                check_program(m.schema, prog)
+                with self.located(self.peek()):
+                    prog = self._finalize_prog(self.parse_stmt(), m.schema)
                 m.programs[pname] = prog
                 m.source_order.append(("PROGRAM", pname))
             elif self.at("EVENT"):
                 self.next()
                 m = need_mf()
+                self.event_at[self.peek().text] = self.peek()
                 ename = self.ident()
                 params: list = []
                 if self.at("("):
@@ -789,14 +805,17 @@ class Parser:
             elif self.at("RULE"):
                 self.next()
                 self.expect("WHEN")
-                guard = self.parse_expr()
+                with self.located(self.peek()):
+                    guard = StateSet(schema, self.parse_expr())
                 self.expect("DO")
-                assigns = self._assign_list()
-                while self.at(";"):
-                    self.next()
-                    assigns = assigns + self._assign_list()
+                with self.located(self.peek()):
+                    assigns = self._assign_list()
+                    while self.at(";"):
+                        self.next()
+                        assigns = assigns + self._assign_list()
+                    rule = RelRule(guard, assigns)
                 self.expect("END")
-                rules.append(RelRule(StateSet(schema, guard), assigns))
+                rules.append(rule)
             elif self.at("END"):
                 self.next()
                 break
@@ -807,9 +826,10 @@ class Parser:
     def _set_ref(self, m: ModelFile) -> StateSet:
         if self.at("["):
             self.next()
-            e = self.parse_expr()
+            with self.located(self.peek()):
+                ss = StateSet(m.schema, self.parse_expr())
             self.expect("]")
-            return StateSet(m.schema, e)
+            return ss
         n = self.ident()
         if n not in m.sets:
             raise self.err(f"unknown set {n!r}")
@@ -871,7 +891,8 @@ class Parser:
             ename = self.ident()
             if ename not in m.events:
                 raise self.err(f"unknown event {ename!r}")
-            evset = _expand_named(m, ename)
+            with self.located(self.event_at[ename]):
+                evset = _expand_named(m, ename)
             return EsAtomic(evset) if atomic else EsBasic(evset)
         if self.at("TRG"):
             self.next()
@@ -1009,7 +1030,7 @@ class Parser:
                 self.next()
                 aname = self.ident()
                 self.expect(":=")
-                acts.append((aname, self._parse_activity()))
+                acts.append((aname, self.peek(), self._parse_activity()))
             else:
                 raise self.err(f"unexpected section {self.peek().text!r}")
         schema = bp.make_bpel_schema(store, list(links), tick_max)
@@ -1017,8 +1038,9 @@ class Parser:
 
         bctx = bp.BpelCtx(Ctx(AdapterContext(schema), IMP_ADAPTER), links)
         bf = BpelFile(name, bctx, store, links, tick_max)
-        for aname, a in acts:
-            bp.check_activity(bctx, a, top=True)
+        for aname, t, a in acts:
+            with self.located(t):
+                bp.check_activity(bctx, a, top=True)
             bf.activities[aname] = a
         return bf
 

@@ -17,6 +17,7 @@ from rgkit.adapters import (
     make_rel_machine,
     prog_validity,
     rel_step,
+    terminal_states,
 )
 from rgkit.exprs import Arith, Cmp, Lit, Var
 from rgkit.relations import RGSpec, RelDesc, RelRule, StateSet, identity_rel, true_set
@@ -81,6 +82,23 @@ def test_await_divergence_detected():
     p = Await(true_set(s), body)
     with pytest.raises(AwaitDivergence):
         imp_step(ctx(), p, s.state(x=0))
+
+
+def test_terminal_states_with_and_without_while():
+    s = schema()
+    c = ctx()
+    inc = Basic((("x", Arith("+", Var("x"), Lit(1))),))
+    branchy = PSeq(Cond(xset("=", 0, s), inc, Basic(())), inc)
+    assert terminal_states(c, imp_step, branchy, s.state(x=0), "branchy") == [s.state(x=2)]
+    assert terminal_states(c, imp_step, branchy, s.state(x=1), "branchy") == [s.state(x=2)]
+    count = While(xset("<", 3, s), inc)
+    assert terminal_states(c, imp_step, count, s.state(x=0), "count") == [s.state(x=3)]
+    # a While whose guard stays true makes the body's step graph cyclic,
+    # also behind a loop-free prefix
+    spin = PSeq(inc, Cond(xset("<", 4, s), While(true_set(s), Basic(())), Basic(())))
+    with pytest.raises(AwaitDivergence):
+        terminal_states(c, imp_step, spin, s.state(x=0), "spin")
+    assert terminal_states(c, imp_step, spin, s.state(x=3), "spin") == [s.state(x=4)]
 
 
 def test_multi_assignment_pre_state_semantics():

@@ -1,16 +1,23 @@
+import gc
+
 import pytest
 
-from rgkit.adapters import AdapterContext, Basic, IMP_ADAPTER
+from conftest import corpus_path
+from rgkit.adapters import AdapterContext, AwaitDivergence, Basic, IMP_ADAPTER, terminal_states
 from rgkit.computations import (
+    ENV,
     Computation,
     MODULAR_RULES,
     check_linear_modular_equiv,
+    comp_kind,
     computation_valid,
     cpts_linear,
     cpts_modular,
     lift_seq_cpt,
 )
 from rgkit.events import (
+    ActionLabel,
+    EsAtomic,
     EsBasic,
     EsChoice,
     EsIter,
@@ -20,11 +27,177 @@ from rgkit.events import (
     EventSet,
     EventSpec,
     FIN,
+    is_fin,
+    tau,
 )
 from rgkit.exprs import Cmp, Lit, Var
-from rgkit.relations import StateSet, full_rel, identity_rel, true_set
-from rgkit.semantics import Ctx, build_graph
+from rgkit.modelfile import load
+from rgkit.relations import StateSet, full_rel, identity_rel, solve_states, true_set
+from rgkit.semantics import AtomDivergence, Ctx, build_graph, step_es
 from rgkit.values import IntType, Schema
+
+
+# ----------------------------------------------------------------------
+# Reference enumerators: the rules as written, over `Computation` objects
+# with no intern table or memo other than the modular rules' own.  The
+# differential tests below hold `cpts_linear`, `cpts_modular` and
+# `check_linear_modular_equiv` to them.
+# ----------------------------------------------------------------------
+
+
+def reference_linear(ctx, s_sys, s, rely_universe, max_len, k="es"):
+    out = set()
+    stack = [Computation(((s_sys, s),), ())]
+    while stack:
+        c = stack.pop()
+        out.add(c)
+        if len(c) >= max_len:
+            continue
+        spec, st = c.confs[-1]
+        for t in rely_universe.successors(st):
+            stack.append(Computation(c.confs + ((spec, t),), c.kinds + (ENV,)))
+        for lbl, spec2, t in step_es(ctx, spec, st, k):
+            stack.append(Computation(c.confs + ((spec2, t),), c.kinds + (comp_kind(lbl),)))
+    return frozenset(out)
+
+
+def reference_modular(ctx, s_sys, s, rely_universe, max_len, k="es", disabled=frozenset(), memo=None):
+    """`memo` may be shared by calls with the same ctx, universe, k and
+    disabled rules."""
+    memo = {} if memo is None else memo
+
+    def on(rule):
+        return rule not in disabled
+
+    def gen(spec, st, budget):
+        key = (spec, st, budget)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        out = set()
+        me = (spec, st)
+        if on("CptsMOne"):
+            out.add(Computation((me,), ()))
+        if budget >= 2:
+            if on("CptsMEnv"):
+                for t in rely_universe.successors(st):
+                    for c in gen(spec, t, budget - 1):
+                        out.add(c.prepend(me, ENV))
+            if isinstance(spec, EsTriggered) and spec.prog is not None:
+                for q, t in ctx.adapter.step(ctx.actx, spec.prog, st):
+                    if on("CptsMTrgEvtFin" if q is None else "CptsMTrgEvt"):
+                        for c in gen(EsTriggered(q), t, budget - 1):
+                            out.add(c.prepend(me, comp_kind(tau(k))))
+            elif isinstance(spec, EsBasic):
+                if on("CptsMBasicEvt"):
+                    for inst in spec.events.instances:
+                        if inst.guard.holds(st):
+                            lbl = comp_kind(ActionLabel("evt", inst.label, k))
+                            for c in gen(EsTriggered(inst.body), st, budget - 1):
+                                out.add(c.prepend(me, lbl))
+            elif isinstance(spec, EsAtomic):
+                if on("CptsMAtomEvt"):
+                    for inst in spec.events.instances:
+                        if inst.guard.holds(st):
+                            try:
+                                terms = terminal_states(
+                                    ctx.actx, ctx.adapter.step, inst.body, st, inst.label
+                                )
+                            except AwaitDivergence as d:
+                                raise AtomDivergence(inst.label) from d
+                            lbl = comp_kind(ActionLabel("aevt", inst.label, k))
+                            for t in terms:
+                                for c in gen(FIN, t, budget - 1):
+                                    out.add(c.prepend(me, lbl))
+            elif isinstance(spec, EsSeq):
+                for lbl, a2, t in step_es(ctx, spec.a, st, k):
+                    if is_fin(a2):
+                        if on("CptsMSeqFin"):
+                            for c in gen(spec.b, t, budget - 1):
+                                out.add(c.prepend(me, comp_kind(lbl)))
+                    elif on("CptsMSeq"):
+                        for c in gen(EsSeq(a2, spec.b), t, budget - 1):
+                            out.add(c.prepend(me, comp_kind(lbl)))
+            elif isinstance(spec, EsChoice):
+                for rule, side in (("CptsMChc1", spec.a), ("CptsMChc2", spec.b)):
+                    if on(rule):
+                        for lbl, x2, t in step_es(ctx, side, st, k):
+                            for c in gen(x2, t, budget - 1):
+                                out.add(c.prepend(me, comp_kind(lbl)))
+            elif isinstance(spec, EsJoin):
+                if is_fin(spec.a) and is_fin(spec.b) and on("CptsMJoinFin"):
+                    for c in gen(FIN, st, budget - 1):
+                        out.add(c.prepend(me, comp_kind(tau(k))))
+                if on("CptsMJoin1"):
+                    for lbl, a2, t in step_es(ctx, spec.a, st, k):
+                        for c in gen(EsJoin(a2, spec.b), t, budget - 1):
+                            out.add(c.prepend(me, comp_kind(lbl)))
+                if on("CptsMJoin2"):
+                    for lbl, b2, t in step_es(ctx, spec.b, st, k):
+                        for c in gen(EsJoin(spec.a, b2), t, budget - 1):
+                            out.add(c.prepend(me, comp_kind(lbl)))
+            elif isinstance(spec, EsIter):
+                if not spec.cond.holds(st):
+                    if on("CptsMIterF"):
+                        for c in gen(FIN, st, budget - 1):
+                            out.add(c.prepend(me, comp_kind(tau(k))))
+                else:
+                    head_kind = comp_kind(tau(k))
+                    for c in gen(spec.body, st, budget - 1):
+                        if any(is_fin(sp) for sp, _ in c.confs):
+                            continue
+                        lifted = lift_seq_cpt(c, spec)
+                        if on("CptsMIterTOne"):
+                            out.add(lifted.prepend(me, head_kind))
+                        rem = budget - 1 - len(c)
+                        if on("CptsMIterTMore") and rem >= 1:
+                            last_spec, last_st = c.confs[-1]
+                            for lbl, s2, t in step_es(ctx, last_spec, last_st, k):
+                                if not is_fin(s2):
+                                    continue
+                                for c2 in gen(spec, t, rem):
+                                    out.add(
+                                        Computation(
+                                            (me,) + lifted.confs + c2.confs,
+                                            (head_kind,) + lifted.kinds + (comp_kind(lbl),) + c2.kinds,
+                                        )
+                                    )
+        memo[key] = result = frozenset(out)
+        return result
+
+    return gen(s_sys, s, max_len)
+
+
+def reference_equiv(ctx, s_sys, pre, rely_universe, max_len, disabled=frozenset(), sets=None):
+    """(result, clause, witness, detail) of the linear/modular comparison
+    as `check_linear_modular_equiv` defines it; `sets(s)` may supply the
+    reference (linear, modular) pair for initial state `s`."""
+    total = 0
+    memo: dict = {}
+    for s in solve_states(pre):
+        if sets is None:
+            lin = reference_linear(ctx, s_sys, s, rely_universe, max_len)
+            mod = reference_modular(
+                ctx, s_sys, s, rely_universe, max_len, disabled=disabled, memo=memo
+            )
+        else:
+            lin, mod = sets(s)
+        total += len(lin)
+        if lin != mod:
+            key = lambda c: c.sort_key(ctx.schema)  # noqa: E731
+            only = sorted(lin - mod, key=key) or sorted(mod - lin, key=key)
+            witness = {
+                "computation": only[0].render(ctx.schema),
+                "linear_count": len(lin),
+                "modular_count": len(mod),
+            }
+            side = "linear-only" if lin - mod else "modular-only"
+            return ("FAIL", side, witness, {"initial_state": ctx.schema.state_to_dict(s)})
+    return ("PASS", None, None, {"computations": total})
+
+
+def pairs(comps):
+    return {(c.confs, c.kinds) for c in comps}
 
 
 def mk():
@@ -199,3 +372,56 @@ def test_dump_computations_deterministic():
     d1 = dump_computations(ctx, cs)
     d2 = dump_computations(ctx, set(cs))
     assert d1 == d2 and len(d1) == len(cs)
+
+
+CPTS_SUITE = load(corpus_path("cpts_suite.pcm"))
+
+
+def schema_states(mf):
+    """The init0 states and two more states of the schema."""
+    return solve_states(mf.sets["init0"]) + [
+        mf.schema.state(x=1, p=True),
+        mf.schema.state(x=2, p=False),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(CPTS_SUITE.esystems))
+def test_enumerators_match_reference(name):
+    mf = CPTS_SUITE
+    ctx, full, es = mf.ctx(), mf.rels["full"], mf.esystems[name]
+    ref: dict = {}  # (state, max_len, disabled) -> reference (linear, modular)
+    memos: dict = {}  # disabled -> reference modular memo
+    for s in schema_states(mf):
+        for ml in range(1, 6):
+            lin = reference_linear(ctx, es, s, full, ml)
+            assert pairs(cpts_linear(ctx, es, s, full, ml)) == pairs(lin), (s, ml)
+            for rule in (None,) + MODULAR_RULES:
+                disabled = frozenset([rule] if rule else [])
+                memo = memos.setdefault(disabled, {})
+                mod = reference_modular(ctx, es, s, full, ml, disabled=disabled, memo=memo)
+                got = cpts_modular(ctx, es, s, full, ml, disabled=disabled)
+                assert pairs(got) == pairs(mod), (s, ml, rule)
+                ref[(s, ml, disabled)] = (lin, mod)
+    # The check's verdict, clause, witness and detail, from the reference
+    # sets at max_len 5 for every disabled rule and recomputed at 6.
+    for ml, rules in ((5, (None,) + MODULAR_RULES), (6, (None,))):
+        for rule in rules:
+            disabled = frozenset([rule] if rule else [])
+            sets = (lambda s: ref[(s, ml, disabled)]) if ml == 5 else None
+            want = reference_equiv(ctx, es, mf.sets["init0"], full, ml, disabled, sets)
+            v = check_linear_modular_equiv(ctx, es, mf.sets["init0"], full, ml, disabled=disabled)
+            assert (v.result, v.clause, v.witness, v.detail) == want, (ml, rule)
+
+
+def test_cpts_modular_leaves_no_cyclic_garbage():
+    mf = CPTS_SUITE
+    ctx, full, es = mf.ctx(), mf.rels["full"], mf.esystems["e14"]
+    s0 = mf.schema.initial_state()
+    cpts_modular(ctx, es, s0, full, 4)  # warm up lazily built caches
+    gc.collect()
+    gc.disable()
+    try:
+        cpts_modular(ctx, es, s0, full, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -144,3 +144,27 @@ ESYS s := EVT e
 """
     with pytest.raises(LoadError):
         parse_pcm(text)
+
+
+@pytest.mark.parametrize("section, pos", [
+    ("SET s := BUILTIN inv", "5:10"),
+    ("SET s := x + 1", "5:10"),
+    ("REL r := ID RULE WHEN y = 1 DO x := 1 END END", "5:23"),
+    ("REL r := RULE WHEN true DO y := 1 END END", "5:28"),
+    ("REL r := ID END\nRGSPEC g := PRE [y = 1] RELY r GUAR r POST [true]", "6:18"),
+    ("PROGRAM p := IF y THEN x := 1 ELSE x := 2 FI", "5:14"),
+    ("EVENT e WHEN y = 1 THEN x := 1 END\nESYS s := EVT e", "5:7"),
+])
+def test_checks_after_parsing_give_positions(section, pos):
+    text = "MODEL m\nSCHEMA\n  x : INT 0..2 INIT 0\nEND\n" + section + "\n"
+    with pytest.raises(LoadError) as ei:
+        parse_pcm(text)
+    assert str(ei.value).startswith(f"{pos}: ")
+
+
+def test_bpel_activity_checks_give_positions():
+    text = ("BPEL b\nSCHEMA\n  x : INT 0..3 INIT 0\nEND\nLINKS l1\nTICKMAX 3\n"
+            "ACTIVITY a := WHILE z < 2 { EMPTY }\n")
+    with pytest.raises(LoadError) as ei:
+        parse_bpc(text)
+    assert str(ei.value) == "7:15: undeclared variable 'z'"
