@@ -124,7 +124,7 @@ class _Table:
     the module docstring).  A path is a flat tuple of ids."""
 
     __slots__ = (
-        "ctx", "rely", "k", "on", "ids", "confs", "fin", "kind",
+        "ctx", "rely", "k", "on", "ids", "confs", "fin", "kind", "tau",
         "env", "steps", "moves", "lifts", "paths",
     )
 
@@ -138,6 +138,7 @@ class _Table:
         self.fin: list = []  # conf id -> whether its spec is FIN
         self.kind = _Intern()
         self.kind(ENV)
+        self.tau = self.kind(comp_kind(tau(k)))  # kind id of a tau step
         self.env: dict = {}  # conf id -> [(ENV id, conf id of (spec, t))] for t in the universe
         self.steps: dict = {}  # conf id -> [(kind id, conf id)] of step_es
         self.moves: dict = {}  # conf id -> [(kind id, conf id)] by the modular rules
@@ -238,9 +239,8 @@ class _Table:
         on, k, kind, conf = self.on, self.k, self.kind, self.conf
         if isinstance(spec, EsTriggered) and spec.prog is not None:
             ctx = self.ctx
-            tau_k = kind(comp_kind(tau(k)))
             yield [
-                (tau_k, conf(EsTriggered(q), t))
+                (self.tau, conf(EsTriggered(q), t))
                 for q, t in ctx.adapter.step(ctx.actx, spec.prog, st)
                 if on["CptsMTrgEvtFin" if q is None else "CptsMTrgEvt"]
             ]
@@ -280,7 +280,7 @@ class _Table:
                 yield self.steps_of(conf(spec.b, st))
         elif isinstance(spec, EsJoin):
             if is_fin(spec.a) and is_fin(spec.b) and on["CptsMJoinFin"]:
-                yield [(kind(comp_kind(tau(k))), conf(FIN, st))]
+                yield [(self.tau, conf(FIN, st))]
             if on["CptsMJoin1"]:
                 yield [
                     (kd, conf(EsJoin(self.confs[x][0], spec.b), self.confs[x][1]))
@@ -293,7 +293,7 @@ class _Table:
                 ]
         elif isinstance(spec, EsIter):
             if not spec.cond.holds(st) and on["CptsMIterF"]:
-                yield [(kind(comp_kind(tau(k))), conf(FIN, st))]
+                yield [(self.tau, conf(FIN, st))]
 
     def _iterate(self, out: set, c: int, spec: EsIter, st, b: int) -> None:
         """CptsMIterTOne and CptsMIterTMore at the iteration head `c`: a
@@ -302,7 +302,7 @@ class _Table:
         computation of `spec` again."""
         fin, confs, conf = self.fin, self.confs, self.conf
         one, more = self.on["CptsMIterTOne"], self.on["CptsMIterTMore"]
-        head = (c, self.kind(comp_kind(tau(self.k))))
+        head = (c, self.tau)
         lifts = self.lifts.get(spec)
         if lifts is None:
             lifts = self.lifts[spec] = {}
