@@ -11,6 +11,12 @@ Two assumptions are imposed on every adapter and tested exhaustively by
 Two reference adapters live here: an IMP-style structured language and a
 relation-style explicit transition system, which exists to demonstrate the
 interface is language-agnostic.
+
+IMP is deterministic: `imp_step` returns at most one successor, by
+induction on the program (`Basic`, `Cond` and `While` give one, `PSeq` as
+many as its head, `Await` at most the one terminal of its deterministic
+body).  `terminal_states` relies on this to run IMP await and atomic
+bodies big-step (`_runner`) instead of exploring their step graph.
 """
 
 from __future__ import annotations
@@ -136,35 +142,96 @@ def imp_step(ctx: AdapterContext, p: ImpProgram, s: tuple) -> list[tuple[Any, tu
     raise LoadError(f"not an IMP program: {p!r}")
 
 
-def _loop_free(p) -> bool:
-    """Whether IMP program `p` contains no While, cached on the node as
-    `_basic_apply` caches `_apply`.  Every IMP step of such a program
-    leaves a strictly smaller program (a PSeq loses part of its head, a
-    Cond becomes a branch, a Basic or an Await finishes), so its step
-    graph has no cycle."""
+class _Loop(Exception):
+    """A While head met a state twice in one activation (see `_runner`)."""
+
+
+def _runner(schema: Schema, p) -> Callable[[tuple], tuple | None]:
+    """IMP program `p` compiled to a big-step closure `s -> t | None`, where
+    None means an inner Await blocked; cached on the node as `_basic_apply`
+    caches `_apply`.  A child is compiled when execution first reaches it
+    (the `x or (x := ...)` cells), so a node `imp_step` rejects raises only
+    where `imp_step` would.  Guards are looked up at each call, as
+    `imp_step` does, so a patched `StateSet.holds` sees every test."""
     if p is None:
-        return True
+        return _terminal
     try:
-        return object.__getattribute__(p, "_loop_free")
+        return object.__getattribute__(p, "_run")
     except AttributeError:
-        if isinstance(p, PSeq):
-            free = _loop_free(p.a) and _loop_free(p.b)
-        elif isinstance(p, Cond):
-            free = _loop_free(p.then) and _loop_free(p.other)
-        elif isinstance(p, Await):
-            free = _loop_free(p.body)
-        else:
-            free = not isinstance(p, While)
-        object.__setattr__(p, "_loop_free", free)
-        return free
+        pass
+    if isinstance(p, Basic):
+        run = _basic_apply(schema, p)
+    elif isinstance(p, PSeq):
+        ra = rb = None
+
+        def run(s):
+            nonlocal ra, rb
+            t = (ra or (ra := _runner(schema, p.a)))(s)
+            if t is None:
+                return None
+            return (rb or (rb := _runner(schema, p.b)))(t)
+
+    elif isinstance(p, Cond):
+        cond, rt, ro = p.cond, None, None
+
+        def run(s):
+            nonlocal rt, ro
+            if cond.holds(s):
+                return (rt or (rt := _runner(schema, p.then)))(s)
+            return (ro or (ro := _runner(schema, p.other)))(s)
+
+    elif isinstance(p, While):
+        cond, rb = p.cond, None
+
+        def run(s):
+            # The continuation of a While is the same throughout one
+            # activation, so a repeated head state is exactly a cycle of
+            # the small-step configuration graph.
+            nonlocal rb
+            seen = set()
+            while s not in seen:
+                seen.add(s)
+                if not cond.holds(s):
+                    return s
+                s = (rb or (rb := _runner(schema, p.body)))(s)
+                if s is None:
+                    return None
+            raise _Loop
+
+    elif isinstance(p, Await):
+        cond, rb = p.cond, None
+
+        def run(s):
+            nonlocal rb
+            if not cond.holds(s):
+                return None
+            try:
+                return (rb or (rb := _runner(schema, p.body)))(s)
+            except _Loop:
+                raise AwaitDivergence("AWAIT body") from None
+
+    else:
+        raise LoadError(f"not an IMP program: {p!r}")
+    object.__setattr__(p, "_run", run)
+    return run
+
+
+def _terminal(s: tuple) -> tuple:
+    return s
 
 
 def terminal_states(ctx, step, p, s, where: str) -> list[tuple]:
     """All t with (terminal, t) reachable from (p, s) by the step closure.
 
     Detects cycles in the body's configuration graph and reports them as
-    divergence (bodies are assumed to terminate).  An IMP body without a
-    While needs no cycle search (see `_loop_free`)."""
+    divergence (bodies are assumed to terminate).  IMP bodies run big-step
+    (`_runner`): IMP is deterministic, so there is at most one terminal."""
+    if step is imp_step:
+        try:
+            t = _runner(ctx.schema, p)(s)
+        except _Loop:
+            raise AwaitDivergence(where) from None
+        return [] if t is None else [t]
     start = (p, s)
     seen = {start}
     order: list[tuple] = []
@@ -183,8 +250,6 @@ def terminal_states(ctx, step, p, s, where: str) -> list[tuple]:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    if step is imp_step and _loop_free(p):
-        return order
     # cycle detection over the explored finite graph
     WHITE, GREY, BLACK = 0, 1, 2
     colour = {c: WHITE for c in edges}

@@ -77,24 +77,24 @@ class Computation:
     def prepend(self, conf, kind) -> "Computation":
         return Computation((conf,) + self.confs, (kind,) + self.kinds)
 
-    def render(self, schema) -> list[dict]:
+    def render(self, schema, memo: dict | None = None) -> list[dict]:
+        """`memo` maps each configuration to its rendered spec and state; a
+        caller that renders many computations of one set can share it."""
+        memo = {} if memo is None else memo
         out = []
-        for i, (spec, s) in enumerate(self.confs):
+        for i, conf in enumerate(self.confs):
             step = None
             if i > 0:
                 k = self.kinds[i - 1]
                 step = "env" if k == ENV else f"comp[{k[1].render()}]"
-            out.append(
-                {
-                    "spec": render_system(spec),
-                    "state": schema.state_to_dict(s),
-                    "via": step,
-                }
-            )
+            parts = memo.get(conf)
+            if parts is None:
+                parts = memo[conf] = (render_system(conf[0]), schema.state_to_dict(conf[1]))
+            out.append({"spec": parts[0], "state": parts[1], "via": step})
         return out
 
-    def sort_key(self, schema) -> str:
-        return repr(self.render(schema))
+    def sort_key(self, schema, memo: dict | None = None) -> str:
+        return repr(self.render(schema, memo))
 
 
 MODULAR_RULES = (
@@ -422,11 +422,13 @@ def check_linear_modular_equiv(
         mod = table.modular(c0, max_len)
         total += len(lin)
         if lin != mod:
-            key = lambda c: c.sort_key(ctx.schema)  # noqa: E731
-            only_lin = sorted(table.computations(lin - mod), key=key)
-            only_mod = sorted(table.computations(mod - lin), key=key)
-            side = "linear-only" if only_lin else "modular-only"
-            w = (only_lin or only_mod)[0]
+            only = lin - mod
+            side = "linear-only" if only else "modular-only"
+            memo: dict = {}
+            w = min(
+                table.computations(only or mod - lin),
+                key=lambda c: c.sort_key(ctx.schema, memo),
+            )
             return fail(
                 check,
                 side,

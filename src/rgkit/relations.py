@@ -119,15 +119,15 @@ def check_assigns(schema: Schema, assigns: Iterable[Assign]) -> None:
 def compile_assigns(schema: Schema, assigns: tuple[Assign, ...]):
     """Simultaneous multi-assignment evaluated against the pre-state."""
     compiled = [
-        (schema.index[var], var, schema.types[schema.index[var]], compile_expr(e, schema))
+        (schema.index[var], var, schema.conformers[schema.index[var]], compile_expr(e, schema))
         for var, e in assigns
     ]
 
     def apply(s: tuple) -> tuple:
         out = list(s)
-        for i, var, t, fn in compiled:
+        for i, var, ok, fn in compiled:
             v = fn(s, [])
-            if not conforms(v, t):
+            if not ok(v):
                 raise DomainOverflow(var, v)
             out[i] = v
         return tuple(out)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 
 class LoadError(Exception):
@@ -95,28 +95,56 @@ class OptType:
 Type = IntType | BoolType | SymType | SeqType | RecType | OptType
 
 
-def conforms(v: Any, t: Type) -> bool:
+def conformer(t: Type) -> Callable[[Any], bool]:
+    """The membership test of type `t`, built once from the type: bool-ness,
+    INT range, SYM membership, SEQ length, REC arity and OPT shape, checked
+    recursively.  `bool` is not an INT value."""
     if isinstance(t, BoolType):
-        return isinstance(v, bool)
+        return lambda v: v is True or v is False
     if isinstance(t, IntType):
-        return isinstance(v, int) and not isinstance(v, bool) and t.lo <= v <= t.hi
+        lo, hi = t.lo, t.hi
+        return lambda v: (
+            (v.__class__ is int or isinstance(v, int) and not isinstance(v, bool))
+            and lo <= v <= hi
+        )
     if isinstance(t, SymType):
-        return isinstance(v, str) and v in t.values
+        syms = frozenset(t.values)
+        return lambda v: isinstance(v, str) and v in syms
     if isinstance(t, SeqType):
-        return (
-            isinstance(v, tuple)
-            and len(v) <= t.max_len
-            and all(conforms(x, t.elem) for x in v)
-        )
+        elem, n = conformer(t.elem), t.max_len
+
+        def seq(v) -> bool:
+            if not isinstance(v, tuple) or len(v) > n:
+                return False
+            for x in v:
+                if not elem(x):
+                    return False
+            return True
+
+        return seq
     if isinstance(t, RecType):
-        return (
-            isinstance(v, tuple)
-            and len(v) == len(t.fields)
-            and all(conforms(x, ft) for x, (_, ft) in zip(v, t.fields))
-        )
+        parts = tuple(conformer(ft) for _, ft in t.fields)
+        k = len(parts)
+
+        def rec(v) -> bool:
+            if not isinstance(v, tuple) or len(v) != k:
+                return False
+            for ok, x in zip(parts, v):
+                if not ok(x):
+                    return False
+            return True
+
+        return rec
     if isinstance(t, OptType):
-        return v is None or (isinstance(v, tuple) and len(v) == 1 and conforms(v[0], t.inner))
+        inner = conformer(t.inner)
+        return lambda v: v is None or isinstance(v, tuple) and len(v) == 1 and inner(v[0])
     raise TypeError(f"not a type: {t!r}")
+
+
+def conforms(v: Any, t: Type) -> bool:
+    """One-off membership test for load-time checks; writes through a
+    schema use its `conformers`."""
+    return conformer(t)(v)
 
 
 def default_value(t: Type) -> Any:
@@ -224,8 +252,13 @@ class Schema:
             if n in self.index:
                 raise LoadError(f"duplicate variable {n!r}")
             self.index[n] = i
-        for n, t, v in decls:
-            if not conforms(v, t):
+        # per-variable domain checks, built once for every write through
+        # this schema (`set`, `state`, compiled assignments)
+        self.conformers: tuple[Callable[[Any], bool], ...] = tuple(
+            conformer(t) for t in self.types
+        )
+        for n, ok, v in zip(self.names, self.conformers, self.inits):
+            if not ok(v):
                 raise LoadError(f"initial value of {n!r} outside its domain: {v!r}")
 
     def __len__(self) -> int:
@@ -245,7 +278,7 @@ class Schema:
         vals = list(self.inits)
         for n, v in bindings.items():
             i = self.index[n]
-            if not conforms(v, self.types[i]):
+            if not self.conformers[i](v):
                 raise DomainOverflow(n, v)
             vals[i] = v
         return tuple(vals)
@@ -255,7 +288,7 @@ class Schema:
 
     def set(self, s: tuple, name: str, v: Any) -> tuple:
         i = self.index[name]
-        if not conforms(v, self.types[i]):
+        if not self.conformers[i](v):
             raise DomainOverflow(name, v)
         return s[:i] + (v,) + s[i + 1 :]
 

@@ -1,5 +1,10 @@
+import glob
+import os
+
 import pytest
 
+from conftest import CORPUS
+from rgkit import adapters, semantics
 from rgkit.adapters import (
     AdapterContext,
     Await,
@@ -17,11 +22,16 @@ from rgkit.adapters import (
     make_rel_machine,
     prog_validity,
     rel_step,
+    render_program,
     terminal_states,
 )
 from rgkit.exprs import Arith, Cmp, Lit, Var
+from rgkit.modelfile import load
 from rgkit.relations import RGSpec, RelDesc, RelRule, StateSet, identity_rel, true_set
-from rgkit.values import IntType, LoadError, Schema
+from rgkit.semantics import build_graph
+from rgkit.values import DomainOverflow, IntType, LoadError, Schema
+
+KERNEL_2T = os.path.join(os.path.dirname(__file__), "..", "perfbench", "kernel_2t.pcm")
 
 
 def schema():
@@ -211,3 +221,180 @@ def test_rel_machine_steps():
     assert q1 == RelAt(m, "b") and t1 == s.state(x=1)
     [(q2, t2)] = rel_step(c, q1, t1)
     assert q2 is None and t2 == s.state(x=2)
+
+
+# ----------------------------------------------------------------------
+# The big-step runner against the small-step search it replaced for IMP.
+# ----------------------------------------------------------------------
+
+
+def reference_step(c, p, s):
+    """`imp_step`, except that an Await's body is run by the small-step
+    search of `terminal_states` (which it takes for any step function that
+    is not `imp_step`) instead of the big-step runner."""
+    if isinstance(p, Await):
+        if not p.cond.holds(s):
+            return []
+        return [(None, t) for t in terminal_states(c, reference_step, p.body, s, "AWAIT body")]
+    if isinstance(p, PSeq):
+        return [(p.b if q is None else PSeq(q, p.b), t) for q, t in reference_step(c, p.a, s)]
+    return imp_step(c, p, s)
+
+
+def outcome(fn):
+    try:
+        return ("ok", fn())
+    except (AwaitDivergence, DomainOverflow, LoadError) as e:
+        return (type(e).__name__, str(e), getattr(e, "where", None))
+
+
+def successors(c, p, s) -> list:
+    """`imp_step(c, p, s)`, or [] where it raises (the search stops there)."""
+    res = outcome(lambda: imp_step(c, p, s))
+    return res[1] if res[0] == "ok" else []
+
+
+def run_both(c, p, s, where):
+    """(big-step outcome, small-step outcome, configurations the small-step
+    search stepped) of the body `p` from `s`."""
+    visited = []
+
+    def recording_step(c2, q, t):
+        visited.append((q, t))
+        return reference_step(c2, q, t)
+
+    new = outcome(lambda: terminal_states(c, imp_step, p, s, where))
+    ref = outcome(lambda: terminal_states(c, recording_step, p, s, where))
+    return new, ref, visited
+
+
+def corpus_bodies():
+    """(adapter context, body, state, where) of every `terminal_states`
+    call with `imp_step` made while exploring the corpus targets (as in
+    `test_semantics.corpus_cases`, without the desk kernel) and the
+    two-thread buddy benchmark model: every IMP atomic-event body and every
+    Await body of a triggered program, at every state the build reaches."""
+    calls: dict = {}
+    orig = adapters.terminal_states
+
+    def recording(c, step, p, s, where):
+        if step is imp_step:
+            calls.setdefault((p, s, where), c)
+        return orig(c, step, p, s, where)
+
+    adapters.terminal_states = semantics.terminal_states = recording
+    try:
+        paths = sorted(glob.glob(os.path.join(CORPUS, "*.pcm"))) + [KERNEL_2T]
+        for path in paths:
+            mf = load(path)
+            for tname, target in {**mf.esystems, **mf.pes}.items():
+                if (os.path.basename(path), tname) == ("buddy_desk.pcm", "kernel"):
+                    continue
+                if mf.buddy is not None:
+                    ctx, inits, relies = mf.buddy.ctx, [mf.buddy.initial_state()], [mf.buddy.rely]
+                else:
+                    ctx, inits, relies = mf.ctx(), mf.schema.all_states(), list(mf.rels.values())
+                for rely in relies:
+                    try:
+                        build_graph(ctx, target, None, rely, init_states=inits)
+                    except (AwaitDivergence, DomainOverflow, semantics.AtomDivergence):
+                        pass
+    finally:
+        adapters.terminal_states = semantics.terminal_states = orig
+    return [(c, p, s, where) for (p, s, where), c in calls.items()]
+
+
+@pytest.fixture(scope="module")
+def compared():
+    """Both outcomes of every corpus body, and every configuration the
+    small-step searches stepped."""
+    results, configs = [], []
+    for c, p, s, where in corpus_bodies():
+        new, ref, visited = run_both(c, p, s, where)
+        results.append((p, s, new, ref))
+        configs += [(c, q, t) for q, t in visited]
+    return results, configs
+
+
+def test_runner_matches_small_step_on_corpus(compared):
+    results, _ = compared
+    assert len(results) > 13_000  # 8,168 of them from the two-thread kernel
+    kinds = set()
+    for p, s, new, ref in results:
+        assert new == ref, (render_program(p), s)
+        kinds.add(new[0])
+    assert "ok" in kinds
+
+
+def test_imp_is_deterministic(compared):
+    """The property the runner relies on: `imp_step` has at most one
+    successor, at every configuration of every corpus body's search."""
+    _, configs = compared
+    assert len(configs) > 50_000
+    for c, q, t in configs:
+        assert len(successors(c, q, t)) <= 1, (render_program(q), t)
+
+
+def hand_made_cases():
+    """(where, body, state, expected outcome)."""
+    s = schema()
+    inc = Basic((("x", Arith("+", Var("x"), Lit(1))),))
+    zero = Basic((("x", Lit(0)),))
+    spin = While(true_set(s), Basic(()))
+    relat = RelAt(make_rel_machine(s, "m", [("a", true_set(s), (), "end")], "end"), "a")
+
+    def div(where):
+        return ("AwaitDivergence", f"await-divergence in {where}", where)
+
+    return [
+        # a While that terminates, and ones that diverge
+        ("count", While(xset("<", 3, s), inc), s.state(x=0), ("ok", [(3,)])),
+        ("spin", PSeq(inc, spin), s.state(x=0), div("spin")),
+        ("reset", While(true_set(s), Basic((("x", Lit(1)),))), s.state(x=3), div("reset")),
+        ("flip", While(true_set(s), Cond(xset("=", 0, s), Basic((("x", Lit(1)),)), zero)),
+         s.state(x=0), div("flip")),
+        # nested loops; in the last two, inner activations repeat a head
+        # state across outer iterations
+        ("nested", While(xset("<", 4, s), PSeq(inc, While(xset("=", 2, s), inc))),
+         s.state(x=0), ("ok", [(4,)])),
+        ("nested-reset", While(xset("<", 4, s), PSeq(While(xset(">", 2, s), zero), inc)),
+         s.state(x=0), div("nested-reset")),
+        ("nested-spin", While(true_set(s), PSeq(While(xset("<", 2, s), inc), zero)),
+         s.state(x=0), div("nested-spin")),
+        # a blocking Await inside an atomic body gives no terminal
+        ("blocks", PSeq(inc, Await(xset("=", 0, s), inc)), s.state(x=0), ("ok", [])),
+        ("passes", PSeq(inc, Await(xset("=", 1, s), inc)), s.state(x=0), ("ok", [(2,)])),
+        # a While inside an Await: the divergence is the Await's
+        ("await-spin", PSeq(inc, Await(true_set(s), spin)), s.state(x=0), div("AWAIT body")),
+        # the loop body overflows before the head repeats
+        ("overflow", While(true_set(s), inc), s.state(x=0),
+         ("DomainOverflow", "domain-overflow: x <- 5", None)),
+        # a non-IMP node raises only when execution reaches it
+        ("relat-untaken", Cond(xset("=", 0, s), inc, relat), s.state(x=0), ("ok", [(1,)])),
+        ("relat-taken", Cond(xset("=", 0, s), inc, relat), s.state(x=1),
+         ("LoadError", f"not an IMP program: {relat!r}", None)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "where, p, st, expected", hand_made_cases(), ids=[c[0] for c in hand_made_cases()]
+)
+def test_runner_matches_small_step_on_hand_made_cases(where, p, st, expected):
+    c = ctx()
+    new, ref, visited = run_both(c, p, st, where)
+    assert new == ref == expected
+    for q, t in visited:
+        assert len(successors(c, q, t)) <= 1
+
+
+def test_await_divergence_in_triggered_program_names_the_await():
+    """A While inside an Await of a triggered program: `imp_step` raises
+    with `where == "AWAIT body"`, as the small-step search does."""
+    s = schema()
+    c = ctx()
+    p = PSeq(Basic(()), Await(true_set(s), While(xset("<", 4, s), Basic(()))))
+    [(q, t)] = imp_step(c, p, s.state(x=0))
+    new = outcome(lambda: imp_step(c, q, t))
+    assert new == outcome(lambda: reference_step(c, q, t))
+    assert new == ("AwaitDivergence", "await-divergence in AWAIT body", "AWAIT body")
+    assert imp_step(c, q, s.state(x=4)) == [(None, s.state(x=4))]
