@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from .exprs import Expr, _node, render_expr, substitute
+from .exprs import Expr, _memo, _node, render_expr, substitute
 from .relations import RGSpec, StateSet, compile_assigns, check_assigns, solve_states
 from .values import DomainOverflow, LoadError, Schema
 from .verdicts import Verdict, diag, fail, ok
@@ -117,7 +117,9 @@ def _basic_apply(schema: Schema, p: Basic) -> Callable[[tuple], tuple]:
 
 def imp_step(ctx: AdapterContext, p: ImpProgram, s: tuple) -> list[tuple[Any, tuple]]:
     """One small step.  Cond/While steps never change the state; Await runs
-    its body to completion in a single step or blocks."""
+    its body to completion in a single step or blocks.  A `PSeq` builds
+    `PSeq(q, b)` once per head successor `q`, and a `While` its unrolling
+    once, in the node's `_memo`."""
     schema = ctx.schema
     if p is None:
         return []
@@ -126,13 +128,24 @@ def imp_step(ctx: AdapterContext, p: ImpProgram, s: tuple) -> list[tuple[Any, tu
     if isinstance(p, PSeq):
         out = []
         for q, t in imp_step(ctx, p.a, s):
-            out.append((p.b if q is None else PSeq(q, p.b), t))
+            if q is None:
+                out.append((p.b, t))
+                continue
+            memo = _memo(p)
+            q2 = memo.get(q)
+            if q2 is None:
+                q2 = memo[q] = PSeq(q, p.b)
+            out.append((q2, t))
         return out
     if isinstance(p, Cond):
         return [(p.then if p.cond.holds(s) else p.other, s)]
     if isinstance(p, While):
         if p.cond.holds(s):
-            return [(PSeq(p.body, p), s)]
+            memo = _memo(p)
+            unrolled = memo.get("unroll")
+            if unrolled is None:
+                unrolled = memo["unroll"] = PSeq(p.body, p)
+            return [(unrolled, s)]
         return [(None, s)]
     if isinstance(p, Await):
         if not p.cond.holds(s):
@@ -152,7 +165,9 @@ def _runner(schema: Schema, p) -> Callable[[tuple], tuple | None]:
     caches `_apply`.  A child is compiled when execution first reaches it
     (the `x or (x := ...)` cells), so a node `imp_step` rejects raises only
     where `imp_step` would.  Guards are looked up at each call, as
-    `imp_step` does, so a patched `StateSet.holds` sees every test."""
+    `imp_step` does, so a patched `StateSet.holds` sees every test.  The
+    terminal None is stuck as a `PSeq` head or a `While` body, where
+    `imp_step` has no step for it, and finished everywhere else."""
     if p is None:
         return _terminal
     try:
@@ -162,7 +177,7 @@ def _runner(schema: Schema, p) -> Callable[[tuple], tuple | None]:
     if isinstance(p, Basic):
         run = _basic_apply(schema, p)
     elif isinstance(p, PSeq):
-        ra = rb = None
+        ra, rb = (_stuck if p.a is None else None), None
 
         def run(s):
             nonlocal ra, rb
@@ -181,7 +196,7 @@ def _runner(schema: Schema, p) -> Callable[[tuple], tuple | None]:
             return (ro or (ro := _runner(schema, p.other)))(s)
 
     elif isinstance(p, While):
-        cond, rb = p.cond, None
+        cond, rb = p.cond, (_stuck if p.body is None else None)
 
         def run(s):
             # The continuation of a While is the same throughout one
@@ -218,6 +233,10 @@ def _runner(schema: Schema, p) -> Callable[[tuple], tuple | None]:
 
 def _terminal(s: tuple) -> tuple:
     return s
+
+
+def _stuck(s: tuple) -> None:
+    return None
 
 
 def terminal_states(ctx, step, p, s, where: str) -> list[tuple]:

@@ -341,15 +341,23 @@ def fire_sources(bctx: BpelCtx, sources, s: tuple) -> tuple:
     return schema.set(s, bctx.links_var, tuple(rec))
 
 
-def _apply_spec(bctx: BpelCtx, spec: tuple, s: tuple) -> tuple:
-    if not spec:
+def _apply_spec(bctx: BpelCtx, node, s: tuple) -> tuple:
+    """`node.spec` applied to `s`.  The compiled assignments are cached on
+    the activity or handler node with the schema they were compiled for,
+    as `adapters._basic_apply` caches `_apply`."""
+    if not node.spec:
         return s
-    return compile_assigns(bctx.schema, spec)(s)
+    schema = bctx.schema
+    cached = node.__dict__.get("_apply")
+    if cached is None or cached[0] is not schema:
+        cached = (schema, compile_assigns(schema, node.spec))
+        object.__setattr__(node, "_apply", cached)
+    return cached[1](s)
 
 
 def handler_step(bctx: BpelCtx, h: EventHandler, s: tuple) -> list[tuple[Activity, tuple]]:
     if isinstance(h, OnMessage):
-        return [(h.body, _apply_spec(bctx, h.spec, s))]
+        return [(h.body, _apply_spec(bctx, h, s))]
     if isinstance(h, OnAlarm):
         tick = bctx.schema.get(s, bctx.tick_var)
         if h.time > tick:
@@ -366,20 +374,20 @@ def bpel_step(bctx: BpelCtx, b: Activity, s: tuple) -> list[tuple[Activity, tupl
         return []
     if isinstance(b, Invoke):
         if targets_sat(bctx, b.fe, s):
-            out.append((ACT_FIN, fire_sources(bctx, b.fe.sources, _apply_spec(bctx, b.spec, s))))
+            out.append((ACT_FIN, fire_sources(bctx, b.fe.sources, _apply_spec(bctx, b, s))))
             faulted = fire_sources(bctx, b.fe.sources, s)
             out.append((b.catchall, faulted))
             for _, h in b.catches:
                 out.append((h, faulted))
     elif isinstance(b, Receive):
         if targets_sat(bctx, b.fe, s):
-            out.append((ACT_FIN, fire_sources(bctx, b.fe.sources, _apply_spec(bctx, b.spec, s))))
+            out.append((ACT_FIN, fire_sources(bctx, b.fe.sources, _apply_spec(bctx, b, s))))
     elif isinstance(b, Reply):
         if targets_sat(bctx, b.fe, s):
             out.append((ACT_FIN, fire_sources(bctx, b.fe.sources, s)))
     elif isinstance(b, Assign):
         if targets_sat(bctx, b.fe, s):
-            out.append((ACT_FIN, fire_sources(bctx, b.fe.sources, _apply_spec(bctx, b.spec, s))))
+            out.append((ACT_FIN, fire_sources(bctx, b.fe.sources, _apply_spec(bctx, b, s))))
     elif isinstance(b, Wait):
         tick = schema.get(s, bctx.tick_var)
         if b.time < tick and targets_sat(bctx, b.fe, s):

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from .events import (
-    ActionLabel,
     EsAtomic,
     EsBasic,
     EsChoice,
@@ -52,7 +51,17 @@ from .events import (
     tau,
 )
 from .adapters import AwaitDivergence, terminal_states
-from .semantics import AtomDivergence, Ctx, _Intern, step_es
+from .semantics import (
+    AtomDivergence,
+    Ctx,
+    _aevt_labels,
+    _evt_succs,
+    _Intern,
+    _join_succ,
+    _seq_succ,
+    _trg_succ,
+    step_es,
+)
 from .relations import RelDesc, StateSet, solve_states
 from .verdicts import Verdict, fail, ok
 
@@ -240,20 +249,19 @@ class _Table:
         if isinstance(spec, EsTriggered) and spec.prog is not None:
             ctx = self.ctx
             yield [
-                (self.tau, conf(EsTriggered(q), t))
+                (self.tau, conf(_trg_succ(spec, k, q)[1], t))
                 for q, t in ctx.adapter.step(ctx.actx, spec.prog, st)
                 if on["CptsMTrgEvtFin" if q is None else "CptsMTrgEvt"]
             ]
         elif isinstance(spec, EsBasic):
             if on["CptsMBasicEvt"]:
-                for inst in spec.events.instances:
+                for inst, (lbl, trg) in zip(spec.events.instances, _evt_succs(spec, k)):
                     if inst.guard.holds(st):
-                        lbl = kind(comp_kind(ActionLabel("evt", inst.label, k)))
-                        yield [(lbl, conf(EsTriggered(inst.body), st))]
+                        yield [(kind(comp_kind(lbl)), conf(trg, st))]
         elif isinstance(spec, EsAtomic):
             if on["CptsMAtomEvt"]:
                 ctx = self.ctx
-                for inst in spec.events.instances:
+                for inst, lbl in zip(spec.events.instances, _aevt_labels(spec, k)):
                     if inst.guard.holds(st):
                         try:
                             terms = terminal_states(
@@ -261,8 +269,8 @@ class _Table:
                             )
                         except AwaitDivergence as d:
                             raise AtomDivergence(inst.label) from d
-                        lbl = kind(comp_kind(ActionLabel("aevt", inst.label, k)))
-                        yield [(lbl, conf(FIN, t)) for t in terms]
+                        kd = kind(comp_kind(lbl))
+                        yield [(kd, conf(FIN, t)) for t in terms]
         elif isinstance(spec, EsSeq):
             group = []
             for kd, x in self.steps_of(conf(spec.a, st)):
@@ -271,7 +279,7 @@ class _Table:
                     if on["CptsMSeqFin"]:
                         group.append((kd, conf(spec.b, t)))
                 elif on["CptsMSeq"]:
-                    group.append((kd, conf(EsSeq(a2, spec.b), t)))
+                    group.append((kd, conf(_seq_succ(spec, a2), t)))
             yield group
         elif isinstance(spec, EsChoice):
             if on["CptsMChc1"]:
@@ -283,12 +291,12 @@ class _Table:
                 yield [(self.tau, conf(FIN, st))]
             if on["CptsMJoin1"]:
                 yield [
-                    (kd, conf(EsJoin(self.confs[x][0], spec.b), self.confs[x][1]))
+                    (kd, conf(_join_succ(spec, self.confs[x][0], spec.b), self.confs[x][1]))
                     for kd, x in self.steps_of(conf(spec.a, st))
                 ]
             if on["CptsMJoin2"]:
                 yield [
-                    (kd, conf(EsJoin(spec.a, self.confs[x][0]), self.confs[x][1]))
+                    (kd, conf(_join_succ(spec, spec.a, self.confs[x][0]), self.confs[x][1]))
                     for kd, x in self.steps_of(conf(spec.b, st))
                 ]
         elif isinstance(spec, EsIter):

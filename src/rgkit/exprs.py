@@ -50,6 +50,19 @@ def _node(cls):
     return cls
 
 
+def _memo(node) -> dict:
+    """The dict of successors `node` has built, created on first use and
+    cached on the instance like its hash.  Its keys may name only syntax
+    and system identifiers, never a state or a context, so every entry
+    stays equal to what the step would build afresh."""
+    try:
+        return object.__getattribute__(node, "_memo")
+    except AttributeError:
+        memo: dict = {}
+        object.__setattr__(node, "_memo", memo)
+        return memo
+
+
 @_node
 class Lit:
     value: Any

@@ -32,6 +32,7 @@ from .events import (
     render_system,
     tau,
 )
+from .exprs import _memo
 from .relations import RelDesc, StateSet, solve_states
 from .values import DomainOverflow
 from .verdicts import Verdict, diag
@@ -57,21 +58,102 @@ class Ctx:
         return self.actx.schema
 
 
+def _evt_succs(sys: EsBasic, k: Any) -> list[tuple[ActionLabel, EsTriggered]]:
+    """Per instance of a basic event set, its `evt` label in context `k` and
+    its triggered system."""
+    memo = _memo(sys)
+    out = memo.get(k)
+    if out is None:
+        out = memo[k] = [
+            (ActionLabel("evt", inst.label, k), EsTriggered(inst.body))
+            for inst in sys.events.instances
+        ]
+    return out
+
+
+def _aevt_labels(sys: EsAtomic, k: Any) -> list[ActionLabel]:
+    """Per instance of an atomic event set, its `aevt` label in context `k`."""
+    memo = _memo(sys)
+    out = memo.get(k)
+    if out is None:
+        out = memo[k] = [ActionLabel("aevt", inst.label, k) for inst in sys.events.instances]
+    return out
+
+
+def _trg_succ(sys: EsTriggered, k: Any, q: Any) -> tuple[ActionLabel, EsTriggered]:
+    """The label and system of a triggered program's step to `q`."""
+    memo = _memo(sys)
+    key = (k, q)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = (tau(k), EsTriggered(q))
+    return out
+
+
+def _seq_succ(sys: EsSeq, a2: EventSystem) -> EsSeq:
+    """`a2 ;; sys.b`, the sequence after its head stepped to `a2`."""
+    memo = _memo(sys)
+    out = memo.get(a2)
+    if out is None:
+        out = memo[a2] = EsSeq(a2, sys.b)
+    return out
+
+
+def _join_succ(sys: EsJoin, a2: EventSystem, b2: EventSystem) -> EsJoin:
+    """`a2 JOIN b2`, the join after one of its sides stepped."""
+    memo = _memo(sys)
+    key = (a2, b2)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = EsJoin(a2, b2)
+    return out
+
+
+def _join_tau(sys: EsJoin, k: Any) -> ActionLabel:
+    """The label of a finished join's step to FIN in context `k`."""
+    memo = _memo(sys)
+    out = memo.get(k)
+    if out is None:
+        out = memo[k] = tau(k)
+    return out
+
+
+def _iter_succ(sys: EsIter, k: Any) -> tuple[ActionLabel, EsSeq]:
+    """The label of an iteration's head step in context `k`, and its
+    unrolling `body ;; sys`."""
+    memo = _memo(sys)
+    out = memo.get(k)
+    if out is None:
+        out = memo[k] = (tau(k), EsSeq(sys.body, sys))
+    return out
+
+
 def step_es(
     ctx: Ctx, s_sys: EventSystem, s: tuple, k: Any
 ) -> list[tuple[ActionLabel, EventSystem, tuple]]:
     """All component steps of an event system at state `s` in context `k`.
 
     Deterministic as a set: rule order, then instance order, then adapter
-    successor order; duplicates removed preserving first occurrence."""
+    successor order; duplicates removed preserving first occurrence.  A
+    list of fewer than two steps has no duplicates and is returned as is.
+
+    Labels and successor systems are hash-consed on the node that builds
+    them (`_evt_succs`, ..., `_iter_succ`, through `exprs._memo`), so each
+    distinct successor is built and hashed once.  Nothing observable
+    changes: a cached successor is the same constructor with the same
+    fields as the fresh one, so it is equal and renders alike; the caches
+    are keyed only by syntax and `k`, never by the state or `ctx`, so they
+    hold across builds; and the rules run, and raise, in the same order.
+    Graphs, dumps and witnesses keep the first object of each equality
+    class, so they are unchanged."""
     out: list[tuple[ActionLabel, EventSystem, tuple]] = []
 
     if isinstance(s_sys, EsBasic):
-        for inst in s_sys.events.instances:
+        for inst, (lbl, trg) in zip(s_sys.events.instances, _evt_succs(s_sys, k)):
             if inst.guard.holds(s):
-                out.append((ActionLabel("evt", inst.label, k), EsTriggered(inst.body), s))
+                out.append((lbl, trg, s))
     elif isinstance(s_sys, EsAtomic):
-        for inst in s_sys.events.instances:
+        for inst, lbl in zip(s_sys.events.instances, _aevt_labels(s_sys, k)):
             if inst.guard.holds(s):
                 try:
                     terms = terminal_states(
@@ -80,39 +162,40 @@ def step_es(
                 except AwaitDivergence as d:
                     raise AtomDivergence(inst.label) from d
                 for t in terms:
-                    out.append((ActionLabel("aevt", inst.label, k), FIN, t))
+                    out.append((lbl, FIN, t))
     elif isinstance(s_sys, EsTriggered):
         if s_sys.prog is not None:
             for q, t in ctx.adapter.step(ctx.actx, s_sys.prog, s):
-                out.append((tau(k), EsTriggered(q), t))
+                lbl, trg = _trg_succ(s_sys, k, q)
+                out.append((lbl, trg, t))
     elif isinstance(s_sys, EsSeq):
         for lbl, a2, t in step_es(ctx, s_sys.a, s, k):
             if is_fin(a2):
                 out.append((lbl, s_sys.b, t))
             else:
-                out.append((lbl, EsSeq(a2, s_sys.b), t))
+                out.append((lbl, _seq_succ(s_sys, a2), t))
     elif isinstance(s_sys, EsChoice):
-        for lbl, a2, t in step_es(ctx, s_sys.a, s, k):
-            out.append((lbl, a2, t))
-        for lbl, b2, t in step_es(ctx, s_sys.b, s, k):
-            out.append((lbl, b2, t))
+        out = step_es(ctx, s_sys.a, s, k) + step_es(ctx, s_sys.b, s, k)
     elif isinstance(s_sys, EsJoin):
         if is_fin(s_sys.a) and is_fin(s_sys.b):
-            out.append((tau(k), FIN, s))
+            out.append((_join_tau(s_sys, k), FIN, s))
         else:
             for lbl, a2, t in step_es(ctx, s_sys.a, s, k):
-                out.append((lbl, EsJoin(a2, s_sys.b), t))
+                out.append((lbl, _join_succ(s_sys, a2, s_sys.b), t))
             for lbl, b2, t in step_es(ctx, s_sys.b, s, k):
-                out.append((lbl, EsJoin(s_sys.a, b2), t))
+                out.append((lbl, _join_succ(s_sys, s_sys.a, b2), t))
     elif isinstance(s_sys, EsIter):
         if s_sys.cond.holds(s):
             if not is_fin(s_sys.body):
-                out.append((tau(k), EsSeq(s_sys.body, s_sys), s))
+                lbl, unrolled = _iter_succ(s_sys, k)
+                out.append((lbl, unrolled, s))
         else:
-            out.append((tau(k), FIN, s))
+            out.append((_iter_succ(s_sys, k)[0], FIN, s))
     else:
         raise AssertionError(f"not an event system: {s_sys!r}")
 
+    if len(out) < 2:
+        return out
     seen, dedup = set(), []
     for item in out:
         if item not in seen:

@@ -373,6 +373,9 @@ def hand_made_cases():
         ("relat-untaken", Cond(xset("=", 0, s), inc, relat), s.state(x=0), ("ok", [(1,)])),
         ("relat-taken", Cond(xset("=", 0, s), inc, relat), s.state(x=1),
          ("LoadError", f"not an IMP program: {relat!r}", None)),
+        # the terminal as a sequence head or a loop body has no step
+        ("empty-head", PSeq(None, inc), s.state(x=0), ("ok", [])),
+        ("empty-body", While(true_set(s), None), s.state(x=0), ("ok", [])),
     ]
 
 

@@ -5,7 +5,15 @@ from collections import deque
 import pytest
 
 from conftest import CORPUS
-from rgkit.adapters import AdapterContext, AwaitDivergence, Basic, IMP_ADAPTER, PSeq, While
+from rgkit.adapters import (
+    AdapterContext,
+    AwaitDivergence,
+    Basic,
+    IMP_ADAPTER,
+    PSeq,
+    While,
+    terminal_states,
+)
 from rgkit.buddy import BuddyDims, build_kernel_model
 from rgkit.events import (
     ActionLabel,
@@ -214,12 +222,65 @@ def test_dump_graph_deterministic():
     assert d1.splitlines()[0].startswith("node ")
 
 
-# -- differential test of build_graph's step memo ---------------------------
+# -- differential tests of step_es's and build_graph's memos ----------------
+
+
+def reference_step_es(ctx, s_sys, s, k):
+    """`step_es` as the rules are written: fresh labels and systems at every
+    call, and the duplicate filter on every list.  A test oracle."""
+    out = []
+    if isinstance(s_sys, EsBasic):
+        for inst in s_sys.events.instances:
+            if inst.guard.holds(s):
+                out.append((ActionLabel("evt", inst.label, k), EsTriggered(inst.body), s))
+    elif isinstance(s_sys, EsAtomic):
+        for inst in s_sys.events.instances:
+            if inst.guard.holds(s):
+                try:
+                    terms = terminal_states(
+                        ctx.actx, ctx.adapter.step, inst.body, s, where=inst.label
+                    )
+                except AwaitDivergence as d:
+                    raise AtomDivergence(inst.label) from d
+                for t in terms:
+                    out.append((ActionLabel("aevt", inst.label, k), FIN, t))
+    elif isinstance(s_sys, EsTriggered):
+        if s_sys.prog is not None:
+            for q, t in ctx.adapter.step(ctx.actx, s_sys.prog, s):
+                out.append((tau(k), EsTriggered(q), t))
+    elif isinstance(s_sys, EsSeq):
+        for lbl, a2, t in reference_step_es(ctx, s_sys.a, s, k):
+            out.append((lbl, s_sys.b if is_fin(a2) else EsSeq(a2, s_sys.b), t))
+    elif isinstance(s_sys, EsChoice):
+        out += reference_step_es(ctx, s_sys.a, s, k)
+        out += reference_step_es(ctx, s_sys.b, s, k)
+    elif isinstance(s_sys, EsJoin):
+        if is_fin(s_sys.a) and is_fin(s_sys.b):
+            out.append((tau(k), FIN, s))
+        else:
+            for lbl, a2, t in reference_step_es(ctx, s_sys.a, s, k):
+                out.append((lbl, EsJoin(a2, s_sys.b), t))
+            for lbl, b2, t in reference_step_es(ctx, s_sys.b, s, k):
+                out.append((lbl, EsJoin(s_sys.a, b2), t))
+    elif isinstance(s_sys, EsIter):
+        if s_sys.cond.holds(s):
+            if not is_fin(s_sys.body):
+                out.append((tau(k), EsSeq(s_sys.body, s_sys), s))
+        else:
+            out.append((tau(k), FIN, s))
+    else:
+        raise AssertionError(f"not an event system: {s_sys!r}")
+    seen, dedup = set(), []
+    for item in out:
+        if item not in seen:
+            seen.add(item)
+            dedup.append(item)
+    return dedup
 
 
 def reference_build(ctx, root, init_states, rely, budget=1_000_000) -> ConfigGraph:
-    """The plain BFS: `step_es` per system and `ps.update` on every step,
-    with no memo.  A test oracle for `build_graph`."""
+    """The plain BFS: `reference_step_es` per system and `ps.update` on
+    every step, with no memo.  A test oracle for `build_graph`."""
     index, nodes, comp_edges, env_edges, parents, initials = {}, [], [], [], {}, []
 
     def intern(conf):
@@ -241,10 +302,10 @@ def reference_build(ctx, root, init_states, rely, budget=1_000_000) -> ConfigGra
         idx = work.popleft()
         spec, s = nodes[idx]
         if isinstance(spec, ParallelEventSystem):
-            succs = [(lbl, spec.update(k, sub2), t)
-                     for k, sub in spec.systems for lbl, sub2, t in step_es(ctx, sub, s, k)]
+            succs = [(lbl, spec.update(k, sub2), t) for k, sub in spec.systems
+                     for lbl, sub2, t in reference_step_es(ctx, sub, s, k)]
         else:
-            succs = step_es(ctx, spec, s, "es")
+            succs = reference_step_es(ctx, spec, s, "es")
         for lbl, spec2, t in succs:
             jdx, new = intern((spec2, t))
             comp_edges.append((idx, lbl, jdx))
@@ -261,7 +322,8 @@ def reference_build(ctx, root, init_states, rely, budget=1_000_000) -> ConfigGra
 
 
 def outcome(build):
-    """The graph, or the type and text of the exception that ended the build."""
+    """The graph (or step list), or the type and text of the exception that
+    ended the build."""
     try:
         return build()
     except (AtomDivergence, AwaitDivergence, DomainOverflow) as e:
@@ -306,17 +368,83 @@ def corpus_cases():
                 yield pytest.param(path, tname, sorted(mf.rels), id=f"{name}:{tname}")
 
 
-@pytest.mark.parametrize("path, tname, rels", list(corpus_cases()))
-def test_build_graph_matches_reference_on_corpus(path, tname, rels):
+def load_case(path, tname, rels):
+    """(ctx, target, initial states, relies) of a `corpus_cases` entry."""
     mf = load(path)
     target = {**mf.esystems, **mf.pes}[tname]
     if mf.buddy is not None:
-        ctx, inits, relies = mf.buddy.ctx, [mf.buddy.initial_state()], [mf.buddy.rely]
-    else:
-        ctx, inits, relies = mf.ctx(), mf.schema.all_states(), [mf.rels[r] for r in rels]
+        return mf.buddy.ctx, target, [mf.buddy.initial_state()], [mf.buddy.rely]
+    return mf.ctx(), target, mf.schema.all_states(), [mf.rels[r] for r in rels]
+
+
+@pytest.mark.parametrize("path, tname, rels", list(corpus_cases()))
+def test_build_graph_matches_reference_on_corpus(path, tname, rels):
+    ctx, target, inits, relies = load_case(path, tname, rels)
     for rely in relies:
         # the buddy_single kernel's dump would be about a gigabyte of text
-        assert_same_outcome(ctx, target, inits, rely, dump=mf.buddy is None)
+        assert_same_outcome(ctx, target, inits, rely, dump=rels is not None)
+
+
+KERNEL_2T = os.path.join(os.path.dirname(__file__), "..", "perfbench", "kernel_2t.pcm")
+
+
+def step_cases():
+    """`corpus_cases` and the targets of the two-thread benchmark kernel."""
+    yield from corpus_cases()
+    mf = load(KERNEL_2T)
+    for tname in sorted({**mf.esystems, **mf.pes}):
+        yield pytest.param(KERNEL_2T, tname, None, id=f"kernel_2t.pcm:{tname}")
+
+
+def thread_configs(ctx, root, inits, rely):
+    """Every distinct (k, sub-system, state) of the configurations reachable
+    from `inits` by `reference_step_es` and `rely`, in BFS order.  A
+    configuration whose steps or rely raise is kept but not expanded, so
+    builds that end in an exception are covered up to and past it."""
+    seen, work, out, keys = set(), deque(), [], set()
+    for s in inits:
+        if (root, s) not in seen:
+            seen.add((root, s))
+            work.append((root, s))
+    while work:
+        spec, s = work.popleft()
+        pes = isinstance(spec, ParallelEventSystem)
+        threads = spec.systems if pes else (("es", spec),)
+        succs = []
+        for k, sub in threads:
+            if (k, sub, s) not in keys:
+                keys.add((k, sub, s))
+                out.append((k, sub, s))
+            try:
+                succs += [(spec.update(k, sub2) if pes else sub2, t)
+                          for _, sub2, t in reference_step_es(ctx, sub, s, k)]
+            except (AtomDivergence, AwaitDivergence, DomainOverflow):
+                pass
+        try:
+            succs += [(spec, t) for t in rely.successors(s)]
+        except DomainOverflow:
+            pass
+        for conf in succs:
+            if conf not in seen:
+                seen.add(conf)
+                work.append(conf)
+    return out
+
+
+@pytest.mark.parametrize("path, tname, rels", list(step_cases()))
+def test_step_es_matches_reference(path, tname, rels):
+    """At every reachable thread configuration, `step_es` gives the steps
+    of the rules as written, in the same order, or the same exception; and
+    asked again it gives the same label and successor objects."""
+    ctx, target, inits, relies = load_case(path, tname, rels)
+    for rely in relies:
+        for k, sub, s in thread_configs(ctx, target, inits, rely):
+            got = outcome(lambda: step_es(ctx, sub, s, k))
+            assert got == outcome(lambda: reference_step_es(ctx, sub, s, k))
+            if isinstance(got, list):
+                again = step_es(ctx, sub, s, k)
+                assert again == got
+                assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(again, got))
 
 
 def test_build_graph_matches_reference_on_two_thread_kernel():
