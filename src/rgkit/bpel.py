@@ -729,7 +729,7 @@ def check_trace_equiv(
     bimg = {tuple((comp(bi), si) for bi, si in tr) for tr in btraces}
     es0 = comp(b0)
     etraces = cpts_linear(bctx.ctx, es0, s0, rely_universe, max_len, k="bpel")
-    eimg = {c.confs for c in etraces}
+    eimg = etraces.conf_sequences()
     if bimg == eimg:
         return ok(check, detail={"bpel_traces": len(bimg), "es_traces": len(eimg)})
     only_b = sorted(bimg - eimg, key=_trace_key(bctx))

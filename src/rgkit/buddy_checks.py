@@ -155,6 +155,14 @@ def analyze_kernel(model: BuddyModel, budget: int = 1_000_000) -> KernelAnalysis
     # event system to its iteration head; the step's source state still
     # carries ret/mempoolalloc_ret and the ghost instance markers.
     heads = {t: model.thread_systems[t] for t in model.dims.threads}
+    at_head: dict = {}  # id(spec) -> threads whose sub-system is at its head
+
+    def threads_at_head(spec) -> frozenset:
+        out = at_head.get(id(spec))
+        if out is None:
+            out = at_head[id(spec)] = frozenset(t for t, h in heads.items() if spec.get(t) == h)
+        return out
+
     post_bad = None
     head_hits = {"alloc": 0, "free": 0}
     for src, lbl, dst in graph.comp_edges:
@@ -162,8 +170,7 @@ def analyze_kernel(model: BuddyModel, budget: int = 1_000_000) -> KernelAnalysis
         if t not in heads:
             continue
         src_spec, s = graph.nodes[src]
-        dst_spec = graph.nodes[dst][0]
-        if dst_spec.get(t) != heads[t] or src_spec.get(t) == heads[t]:
+        if t not in threads_at_head(graph.nodes[dst][0]) or t in threads_at_head(src_spec):
             continue
         op = layout.lvar(s, "cur_op", t)
         if op == "none":

@@ -19,10 +19,12 @@ int in order of first appearance, and a computation is the flat tuple
 (conf, kind, conf, ..., conf) of those ids, which hashes in C.  The ids
 change no set: an id names an equality class, and computations were
 already told apart by equality, so two flat tuples are equal exactly when
-the computations they stand for are.  The public functions convert the
-finished set to `Computation` objects once, from the first object of each
-class, and equal objects render alike, so counts, witnesses and reports
-do not change.  Every step is a pure function of the configuration it is
+the computations they stand for are.  The public functions return the
+finished id-path set as a `ComputationSet`: its size, membership and
+equality are decided on ids, and it builds `Computation` objects, once,
+from the first object of each class, only when a caller iterates it.
+Equal objects render alike, so counts, witnesses and reports do not
+change.  Every step is a pure function of the configuration it is
 memoised on, within one table where `ctx`, the universe, `k` and the
 disabled rules are fixed; a call that raises stores nothing, and each
 step is first taken at the point the rules take it, so the first
@@ -33,6 +35,7 @@ here and followed the string hash seed before.)
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from typing import Any
 
@@ -162,13 +165,6 @@ class _Table:
             self.confs.append(key)
             self.fin.append(is_fin(spec))
         return i
-
-    def computations(self, paths) -> frozenset[Computation]:
-        confs, kinds = self.confs, self.kind.objs
-        return frozenset(
-            Computation(tuple(map(confs.__getitem__, p[::2])), tuple(map(kinds.__getitem__, p[1::2])))
-            for p in paths
-        )
 
     def env_of(self, c: int) -> list[tuple[int, int]]:
         out = self.env.get(c)
@@ -337,6 +333,74 @@ class _Table:
                             out.update(map(pre.__add__, self.modular(conf(spec, confs[x][1]), rem)))
 
 
+class ComputationSet(Set):
+    """A finished set of id paths of one `_Table`, seen as a set of
+    `Computation` objects.  It keeps the table's intern tables but none of
+    its memos.  `len`, `in` and `==` with another view run on ids; any
+    other use iterates, which builds the computations once."""
+
+    __slots__ = ("_paths", "_confs", "_kinds", "_conf_ids", "_kind_ids", "_objs")
+
+    def __init__(self, table: _Table, paths):
+        self._paths = paths
+        self._confs, self._conf_ids = table.confs, table.ids
+        self._kinds, self._kind_ids = table.kind.objs, table.kind.ids
+        self._objs: frozenset[Computation] | None = None
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+    def __iter__(self):
+        return iter(self._computations())
+
+    def _computations(self) -> frozenset[Computation]:
+        if self._objs is None:
+            confs, kinds = self._confs, self._kinds
+            self._objs = frozenset(
+                Computation(tuple(map(confs.__getitem__, p[::2])), tuple(map(kinds.__getitem__, p[1::2])))
+                for p in self._paths
+            )
+        return self._objs
+
+    def __contains__(self, c) -> bool:
+        if not isinstance(c, Computation):
+            return False
+        flat = [-1] * (2 * len(c.confs) - 1)
+        flat[::2] = [self._conf_ids.get(x, -1) for x in c.confs]
+        flat[1::2] = [self._kind_ids.get(x, -1) for x in c.kinds]
+        return tuple(flat) in self._paths
+
+    def __eq__(self, other):
+        if isinstance(other, ComputationSet):
+            if len(self._paths) != len(other._paths):
+                return False
+            # Map each id to the other table's id of the same value, or to
+            # -1, which no path holds.  Ids of one table name distinct
+            # values, so the map is one-to-one on the paths it keeps, and
+            # with equal sizes inclusion is equality.
+            conf_id, kind_id = other._conf_ids.get, other._kind_ids.get
+            cm = [conf_id(x, -1) for x in self._confs]
+            km = [kind_id(x, -1) for x in self._kinds]
+            maps = (cm, km) * ((max(map(len, self._paths), default=0) + 1) // 2)
+            at, theirs = list.__getitem__, other._paths
+            return all(tuple(map(at, maps, p)) in theirs for p in self._paths)
+        if isinstance(other, Set):
+            return self._computations() == other
+        return NotImplemented
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    def conf_sequences(self) -> set[tuple]:
+        """The configuration sequences of the computations, without their
+        step kinds."""
+        confs = self._confs
+        return {tuple(map(confs.__getitem__, p[::2])) for p in self._paths}
+
+
 def cpts_linear(
     ctx: Ctx,
     s_sys: EventSystem,
@@ -344,12 +408,12 @@ def cpts_linear(
     rely_universe: RelDesc,
     max_len: int,
     k: Any = "es",
-) -> frozenset[Computation]:
+) -> ComputationSet:
     """Computations of length <= max_len derivable by the three linear
     rules, environment successors drawn from `rely_universe`."""
     assert max_len >= 1
     table = _Table(ctx, rely_universe, k)
-    return table.computations(table.linear(table.conf(s_sys, s), max_len))
+    return ComputationSet(table, table.linear(table.conf(s_sys, s), max_len))
 
 
 def lift_seq_cpt(c: Computation, q: EventSystem) -> Computation:
@@ -368,13 +432,13 @@ def cpts_modular(
     max_len: int,
     k: Any = "es",
     disabled: frozenset[str] = frozenset(),
-) -> frozenset[Computation]:
+) -> ComputationSet:
     """Computations of length <= max_len built by the modular rules.
 
     `disabled` removes individual rules (mutation experiments)."""
     assert max_len >= 1
     table = _Table(ctx, rely_universe, k, disabled)
-    return table.computations(table.modular(table.conf(s_sys, s), max_len))
+    return ComputationSet(table, table.modular(table.conf(s_sys, s), max_len))
 
 
 def dump_computations(ctx: Ctx, comps) -> list[list[dict]]:
@@ -434,7 +498,7 @@ def check_linear_modular_equiv(
             side = "linear-only" if only else "modular-only"
             memo: dict = {}
             w = min(
-                table.computations(only or mod - lin),
+                ComputationSet(table, only or mod - lin),
                 key=lambda c: c.sort_key(ctx.schema, memo),
             )
             return fail(

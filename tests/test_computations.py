@@ -1,4 +1,6 @@
 import gc
+import json
+import os
 
 import pytest
 
@@ -7,7 +9,9 @@ from rgkit.adapters import AdapterContext, AwaitDivergence, Basic, IMP_ADAPTER, 
 from rgkit.computations import (
     ENV,
     Computation,
+    ComputationSet,
     MODULAR_RULES,
+    _Table,
     check_linear_modular_equiv,
     comp_kind,
     computation_valid,
@@ -425,3 +429,117 @@ def test_cpts_modular_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ----------------------------------------------------------------------
+# The set view: `len`, `==`, `!=` and `in` run on interned ids, so each
+# answer is held to the one its materialised frozenset gives.
+# ----------------------------------------------------------------------
+
+KNOWN_ANSWERS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "known_answers.json")
+with open(KNOWN_ANSWERS, encoding="utf-8") as f:
+    PROBES = [tuple(p) for p in json.load(f)["cpts-equiv"]["full"]["probes"]]
+
+
+def kind_swapped(comps, other_kind):
+    """Each computation with a step, its first step kind swapped for ENV,
+    or for `other_kind` when it was ENV."""
+    return [
+        Computation(c.confs, ((other_kind if c.kinds[0] == ENV else ENV),) + c.kinds[1:])
+        for c in comps
+        if c.kinds
+    ]
+
+
+def check_alone(view, probes) -> frozenset:
+    """`view` answers `len`, `hash` and `in` as its materialised frozenset
+    does, for every member and for each computation in `probes`; returns
+    that frozenset."""
+    assert type(view) is ComputationSet
+    f = frozenset(view)
+    assert len(view) == len(f)
+    assert hash(view) == hash(f)
+    assert all(c in view for c in f)
+    assert [c in view for c in probes] == [c in f for c in probes]
+    assert None not in view
+    return f
+
+
+def check_pair(v, w, f, g, mixed_ops=True):
+    """Views `v` and `w`, whose frozensets are `f` and `g`, compare as the
+    frozensets do, in both orders, with each other and with the other's
+    frozenset, and combine as they do: as views and, if `mixed_ops`, with
+    a frozenset on either side."""
+    eq = f == g
+    for a, b in ((v, w), (v, g), (f, w)):
+        assert (a == b) is eq and (b == a) is eq
+        assert (a != b) is not eq and (b != a) is not eq
+        assert (a <= b) == (f <= g) and (b <= a) == (g <= f)
+        if mixed_ops or a is v and b is w:
+            for got, want in ((a - b, f - g), (a & b, f & g), (a | b, f | g)):
+                assert type(got) is frozenset and got == want
+
+
+def test_view_matches_frozenset_on_probe_pairs():
+    mf = CPTS_SUITE
+    ctx, full, s0 = mf.ctx(), mf.rels["full"], mf.schema.initial_state()
+    tau_kind = comp_kind(tau("es"))
+    lins: dict = {}  # system -> (linear view, its frozenset)
+    for rule, name in PROBES:
+        es = mf.esystems[name]
+        if name not in lins:
+            lin = cpts_linear(ctx, es, s0, full, 5)
+            lins[name] = lin, check_alone(lin, kind_swapped(lin, tau_kind))
+        lin, f = lins[name]
+        mod = cpts_modular(ctx, es, s0, full, 5, disabled=frozenset([rule]))
+        g = check_alone(mod, list(f ^ frozenset(mod)) + kind_swapped(mod, tau_kind))
+        check_pair(lin, mod, f, g, mixed_ops=False)
+
+
+def test_view_matches_frozenset_on_suite():
+    mf = CPTS_SUITE
+    ctx, full, s0 = mf.ctx(), mf.rels["full"], mf.schema.initial_state()
+    tau_kind = comp_kind(tau("es"))
+    names = sorted(mf.esystems)
+    lins = {name: cpts_linear(ctx, mf.esystems[name], s0, full, 1) for name in names}
+    for ml in range(1, 6):
+        longer = {name: cpts_linear(ctx, mf.esystems[name], s0, full, ml + 1) for name in names}
+        frozen = {}
+        for name in names:
+            # The computations of length ml + 1 are not members, though
+            # every prefix of them is.
+            near = [c for c in longer[name] if len(c) > ml] + kind_swapped(lins[name], tau_kind)
+            frozen[name] = check_alone(lins[name], near)
+        for i, name in enumerate(names):
+            lin, f = lins[name], frozen[name]
+            mod = cpts_modular(ctx, mf.esystems[name], s0, full, ml)
+            check_pair(lin, mod, f, check_alone(mod, kind_swapped(mod, tau_kind)))
+            nxt = names[(i + 1) % len(names)]
+            check_pair(lin, lins[nxt], f, frozen[nxt])
+        lins = longer
+
+
+def test_view_across_tables_with_a_configuration_one_lacks():
+    # At max_len 1 every set holds one computation, its initial
+    # configuration, so the sizes agree and only the ids tell them apart.
+    schema, ctx = mk()
+    u, s = full_rel(schema), schema.state(x=0)
+    e, f = one_event(schema), one_event(schema, label="f")
+    a, b = cpts_linear(ctx, e, s, u, 1), cpts_linear(ctx, f, s, u, 1)
+    assert len(a) == len(b) == 1 and a != b and not a == b
+    assert a == cpts_modular(ctx, e, s, u, 1)
+    check_pair(a, b, check_alone(a, list(b)), check_alone(b, list(a)))
+
+
+def test_view_keeps_no_memo_of_its_table():
+    mf = CPTS_SUITE
+    ctx, full, s0 = mf.ctx(), mf.rels["full"], mf.schema.initial_state()
+    table = _Table(ctx, full, "es")
+    paths = table.modular(table.conf(mf.esystems["e14"], s0), 4)
+    view = ComputationSet(table, paths)
+    assert not hasattr(view, "__dict__")
+    kept = {id(x) for x in gc.get_referents(view)}
+    allowed = (paths, table.confs, table.ids, table.kind.objs, table.kind.ids, ComputationSet, None)
+    assert kept <= {id(x) for x in allowed}
+    for memo in (table, table.env, table.steps, table.moves, table.lifts, table.paths):
+        assert id(memo) not in kept
