@@ -66,20 +66,23 @@ def analyze_kernel(model: BuddyModel, budget: int = 1_000_000) -> KernelAnalysis
     frag = model.invariants["no_partner_fragmentation"]
     flv = model.invariants["free_list_valid"]
 
-    def state_witness(idx: int) -> dict:
-        return {"state": schema.state_to_dict(graph.nodes[idx][1])}
+    states, labels = graph.states, graph.labels
+    node_spec, node_state = graph.node_spec, graph.node_state
 
-    # Equal states in `graph.nodes` are one object, so the predicates are
-    # memoised by object id; the scans keep node and edge order, so the
+    def state_witness(idx: int) -> dict:
+        return {"state": schema.state_to_dict(states[node_state[idx]])}
+
+    # Equal states share one state id, so the predicates are memoised by
+    # state id (and spec id); the scans keep node and edge order, so the
     # first failure and its witness are those of a full scan.
     inv_ok: set = set()
     bad = None
-    for i, (_, s) in enumerate(graph.nodes):
-        if id(s) not in inv_ok:
-            if not inv(s):
+    for i, si in enumerate(node_state):
+        if si not in inv_ok:
+            if not inv(states[si]):
                 bad = i
                 break
-            inv_ok.add(id(s))
+            inv_ok.add(si)
     verdicts.append(
         (
             "structural-invariants",
@@ -91,11 +94,12 @@ def analyze_kernel(model: BuddyModel, budget: int = 1_000_000) -> KernelAnalysis
 
     bad = None
     quiescent_count = 0
-    is_quiescent: dict = {}  # id(state) -> quiescent(state)
-    for i, (_, s) in enumerate(graph.nodes):
-        q = is_quiescent.get(id(s))
+    is_quiescent: dict = {}  # state id -> quiescent(state)
+    for i, si in enumerate(node_state):
+        q = is_quiescent.get(si)
         if q is None:
-            q = is_quiescent[id(s)] = quiescent(s)
+            s = states[si]
+            q = is_quiescent[si] = quiescent(s)
             if q and (not frag(s) or not flv(s)):
                 quiescent_count += 1
                 bad = i
@@ -113,20 +117,21 @@ def analyze_kernel(model: BuddyModel, budget: int = 1_000_000) -> KernelAnalysis
 
     guar_bad = None
     checked_edges = 0
-    in_guar: set = set()  # (thread, id(pre), id(post)) already checked
-    for src, lbl, dst in graph.comp_edges:
-        t = lbl.k
-        g = model.guarantees.get(t)
+    in_guar = {t: set() for t in model.guarantees}  # thread -> pre << 32 | post state ids
+    # label id -> (its thread's guarantee, the pairs already found in it)
+    label_guar = [(model.guarantees.get(lbl.k), in_guar.get(lbl.k)) for lbl in labels]
+    for li, src, dst in zip(graph.comp_label, graph.comp_src, graph.comp_dst):
+        g, seen = label_guar[li]
         if g is None:
             continue
         checked_edges += 1
-        s, r = graph.nodes[src][1], graph.nodes[dst][1]
-        key = (t, id(s), id(r))
-        if key not in in_guar:
-            if not g.contains(s, r):
-                guar_bad = (t, src, dst, lbl)
+        si, ri = node_state[src], node_state[dst]
+        key = si << 32 | ri
+        if key not in seen:
+            if not g.contains(states[si], states[ri]):
+                guar_bad = (labels[li], src, dst)
                 break
-            in_guar.add(key)
+            seen.add(key)
     verdicts.append(
         (
             "thread-guarantees",
@@ -136,10 +141,10 @@ def analyze_kernel(model: BuddyModel, budget: int = 1_000_000) -> KernelAnalysis
                 "kernel-guarantee",
                 "step-outside-guarantee",
                 witness={
-                    "thread": guar_bad[0],
-                    "label": guar_bad[3].render(),
-                    "pre": schema.state_to_dict(graph.nodes[guar_bad[1]][1]),
-                    "post": schema.state_to_dict(graph.nodes[guar_bad[2]][1]),
+                    "thread": guar_bad[0].k,
+                    "label": guar_bad[0].render(),
+                    "pre": schema.state_to_dict(states[node_state[guar_bad[1]]]),
+                    "post": schema.state_to_dict(states[node_state[guar_bad[2]]]),
                 },
             ),
         )
@@ -155,23 +160,25 @@ def analyze_kernel(model: BuddyModel, budget: int = 1_000_000) -> KernelAnalysis
     # event system to its iteration head; the step's source state still
     # carries ret/mempoolalloc_ret and the ghost instance markers.
     heads = {t: model.thread_systems[t] for t in model.dims.threads}
-    at_head: dict = {}  # id(spec) -> threads whose sub-system is at its head
+    label_thread = [lbl.k if lbl.k in heads else None for lbl in labels]
+    at_head: dict = {}  # spec id -> threads whose sub-system is at its head
 
-    def threads_at_head(spec) -> frozenset:
-        out = at_head.get(id(spec))
+    def threads_at_head(p: int) -> frozenset:
+        out = at_head.get(p)
         if out is None:
-            out = at_head[id(spec)] = frozenset(t for t, h in heads.items() if spec.get(t) == h)
+            spec = graph.specs[p]
+            out = at_head[p] = frozenset(t for t, h in heads.items() if spec.get(t) == h)
         return out
 
     post_bad = None
     head_hits = {"alloc": 0, "free": 0}
-    for src, lbl, dst in graph.comp_edges:
-        t = lbl.k
-        if t not in heads:
+    for li, src, dst in zip(graph.comp_label, graph.comp_src, graph.comp_dst):
+        t = label_thread[li]
+        if t is None:
             continue
-        src_spec, s = graph.nodes[src]
-        if t not in threads_at_head(graph.nodes[dst][0]) or t in threads_at_head(src_spec):
+        if t not in threads_at_head(node_spec[dst]) or t in threads_at_head(node_spec[src]):
             continue
+        s = states[node_state[src]]
         op = layout.lvar(s, "cur_op", t)
         if op == "none":
             continue

@@ -123,12 +123,19 @@ def check_validity(
     except Exception as e:  # noqa: BLE001 - converted to typed diagnostics
         return graph_diag(check, e)
 
-    in_guar: set = set()  # (id(s), id(t)) of pairs already found in guar
-    for src, lbl, dst in graph.comp_edges:
-        s, t = graph.nodes[src][1], graph.nodes[dst][1]
-        if (id(s), id(t)) in in_guar:
+    # Equal states share one state id, so guar is asked once per pair of
+    # state ids and post once per state id; both scans keep edge and node
+    # order, so the first violation and its witness are those of a full scan.
+    states, node_spec, node_state = graph.states, graph.node_spec, graph.node_state
+    in_guar: set = set()  # s id << 32 | t id of pairs already found in guar
+    for e, (src, dst) in enumerate(zip(graph.comp_src, graph.comp_dst)):
+        si, ti = node_state[src], node_state[dst]
+        key = si << 32 | ti
+        if key in in_guar:
             continue
+        s, t = states[si], states[ti]
         if not spec.guar.contains(s, t):
+            lbl = graph.labels[graph.comp_label[e]]
             w = _witness_path(ctx, graph, src, extra=(graph.nodes[dst], lbl))
             return fail(
                 check,
@@ -141,9 +148,14 @@ def check_validity(
                 node_count=graph.node_count,
                 detail={"_computation": w},
             )
-        in_guar.add((id(s), id(t)))
-    for idx, (spec_c, s) in enumerate(graph.nodes):
-        if _conf_finished(spec_c) and not spec.post.holds(s):
+        in_guar.add(key)
+    finished = [_conf_finished(spec_c) for spec_c in graph.specs]  # spec id -> finished
+    in_post: set = set()  # state ids found in post
+    for idx, (p, si) in enumerate(zip(node_spec, node_state)):
+        if not finished[p] or si in in_post:
+            continue
+        s = states[si]
+        if not spec.post.holds(s):
             w = _witness_path(ctx, graph, idx)
             return fail(
                 check,
@@ -155,6 +167,7 @@ def check_validity(
                 node_count=graph.node_count,
                 detail={"_computation": w},
             )
+        in_post.add(si)
     return ok(check, node_count=graph.node_count)
 
 
@@ -179,7 +192,7 @@ class Universe:
 
 def reachable_universe(graph: ConfigGraph) -> Universe:
     """The distinct states of the graph, in node order."""
-    return Universe("reachable", list(dict.fromkeys(s for _, s in graph.nodes)))
+    return Universe("reachable", [graph.states[si] for si in dict.fromkeys(graph.node_state)])
 
 
 def full_universe(ctx: Ctx, budget: int = 200_000) -> Universe:

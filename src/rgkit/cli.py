@@ -10,6 +10,7 @@ errors, 3 for an internal error (an `internal-error` record on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -338,7 +339,11 @@ def cmd_fmt(args, rep: Reporter) -> None:
     sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: `parse_args` makes a fresh
+    namespace (and fresh `--disable` list) on every call, so calls share
+    no state through it."""
     ap = argparse.ArgumentParser(prog="rgkit", description=__doc__)
     ap.add_argument("--seed", type=int, default=0, help="seed for generated corpora")
     ap.add_argument("--workers", type=int, default=1)

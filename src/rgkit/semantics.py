@@ -11,8 +11,9 @@ quotient every semantic check in the toolkit works on.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Any
 
 from .adapters import AdapterContext, AwaitDivergence, ProgramAdapter, terminal_states
@@ -225,15 +226,16 @@ class _Intern:
 class _Tables:
     """Intern tables and step memos of one `build_graph` call."""
 
-    __slots__ = ("state", "spec", "sub", "threads", "systems", "steps", "updates")
+    __slots__ = ("state", "spec", "sub", "label", "threads", "systems", "steps", "updates")
 
     def __init__(self):
         self.state = _Intern()
         self.spec = _Intern()
         self.sub = _Intern()
+        self.label = _Intern()
         self.threads: dict = {}  # spec id -> ((k, sub id), ...)
         self.systems: dict = {}  # ((k, sub id), ...) -> spec id
-        self.steps: dict = {}  # (k, sub id, state id) -> [(label, sub2 id, t id)]
+        self.steps: dict = {}  # (k, sub id, state id) -> [(label id, sub2 id, t id)]
         self.updates: dict = {}  # (spec id, k, sub2 id) -> spec2 id
 
 
@@ -256,14 +258,14 @@ def step_pes(
     tables: _Tables | None = None,
     p: int = 0,
     si: int = 0,
-) -> list[tuple[ActionLabel, Any, Any]]:
+) -> list[tuple[Any, Any, Any]]:
     """Union over system identifiers of the per-system steps, with the map
     updated at the stepping identifier.
 
     `build_graph` passes its `tables` with `p` and `si`, the ids of `ps`
-    and `s` in them, and gets back (label, spec2 id, t id) triples.  The
-    tables memoise `step_es` per (k, sub id, state id) and the successor
-    spec per (spec id, k, sub2 id) for the whole build (see its
+    and `s` in them, and gets back (label id, spec2 id, t id) triples.
+    The tables memoise `step_es` per (k, sub id, state id) and the
+    successor spec per (spec id, k, sub2 id) for the whole build (see its
     docstring).  Without tables the call uses fresh ones and returns
     (label, system, state) triples.  Every system's step list is computed
     before the caller sees any successor."""
@@ -283,9 +285,10 @@ def step_pes(
         key = (k, q, si)
         sub_steps = steps.get(key)
         if sub_steps is None:
-            sub_id, state_id = tables.sub, tables.state
+            label_id, sub_id, state_id = tables.label, tables.sub, tables.state
             sub_steps = steps[key] = [
-                (lbl, sub_id(sub2), state_id(t)) for lbl, sub2, t in step_es(ctx, subs[q], s, k)
+                (label_id(lbl), sub_id(sub2), state_id(t))
+                for lbl, sub2, t in step_es(ctx, subs[q], s, k)
             ]
         for lbl, q2, t in sub_steps:
             ukey = (p, k, q2)
@@ -294,41 +297,92 @@ def step_pes(
                 p2 = updates[ukey] = _updated(tables, ps, threads, k, q2)
             out.append((lbl, p2, t))
     if fresh:
-        specs, states = tables.spec.objs, tables.state.objs
-        return [(lbl, specs[p2], states[t]) for lbl, p2, t in out]
+        labels, specs, states = tables.label.objs, tables.spec.objs, tables.state.objs
+        return [(labels[lbl], specs[p2], states[t]) for lbl, p2, t in out]
     return out
 
 
 Spec = Any  # EventSystem | ParallelEventSystem | program configurations
 
 
+class Rows(Sequence):
+    """Read-only rows of parallel columns: row i is the tuple of each
+    column's i-th entry, looked up in the column's table where it has one.
+    Rows are built on access and never stored."""
+
+    __slots__ = ("_cols",)
+
+    def __init__(self, *cols: tuple[array, list | None]):
+        self._cols = cols  # (column, table or None), ...
+
+    def __len__(self) -> int:
+        return len(self._cols[0][0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return tuple(col[i] if table is None else table[col[i]] for col, table in self._cols)
+
+    def __iter__(self):
+        return zip(*(col if table is None else map(table.__getitem__, col)
+                     for col, table in self._cols))
+
+
 @dataclass
 class ConfigGraph:
-    """Finite closure of configurations under component and env steps."""
+    """Finite closure of configurations under component and env steps,
+    stored as `array('l')` columns of ids into three tables.
 
-    nodes: list  # idx -> (spec, state), in BFS order
-    comp_edges: list  # (src_idx, ActionLabel, dst_idx)
-    env_edges: list  # (src_idx, dst_idx)
-    initials: list  # node indices
-    parents: dict = field(default_factory=dict)  # idx -> (parent_idx, kind, label)
+    Node i, in BFS order, is (specs[node_spec[i]], states[node_state[i]]).
+    Comp edge e is (comp_src[e], labels[comp_label[e]], comp_dst[e]) and
+    env edge e is (env_src[e], env_dst[e]), in the order the search added
+    them.  A node's BFS parent is `parent[i]` (-1 at a root), reached by
+    the comp step labelled labels[via[i]], or by an env step if via[i] is
+    -1.  Equal states, specs and labels share one id and one object.
+    `nodes`, `comp_edges` and `env_edges` are read-only row views."""
+
+    specs: list  # spec id -> spec
+    states: list  # state id -> state
+    labels: list  # label id -> ActionLabel
+    node_spec: array
+    node_state: array
+    comp_src: array
+    comp_label: array
+    comp_dst: array
+    env_src: array
+    env_dst: array
+    initials: array  # node indices, one per initial state
+    parent: array
+    via: array
+
+    @property
+    def nodes(self) -> Rows:
+        return Rows((self.node_spec, self.specs), (self.node_state, self.states))
+
+    @property
+    def comp_edges(self) -> Rows:
+        return Rows((self.comp_src, None), (self.comp_label, self.labels), (self.comp_dst, None))
+
+    @property
+    def env_edges(self) -> Rows:
+        return Rows((self.env_src, None), (self.env_dst, None))
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.node_spec)
 
     def path_to(self, idx: int) -> list[tuple[int, str | None, Any]]:
         """BFS-shortest derivation from an initial node: [(node, kind, label)]."""
         out = []
-        cur: int | None = idx
-        while cur is not None:
-            parent = self.parents.get(cur)
-            if parent is None:
-                out.append((cur, None, None))
-                cur = None
+        while idx >= 0:
+            p, lbl = self.parent[idx], self.via[idx]
+            if p < 0:
+                out.append((idx, None, None))
+            elif lbl < 0:
+                out.append((idx, "env", None))
             else:
-                p, kind, lbl = parent
-                out.append((cur, kind, lbl))
-                cur = p
+                out.append((idx, "comp", self.labels[lbl]))
+            idx = p
         out.reverse()
         return out
 
@@ -347,14 +401,16 @@ def build_graph(
     Raises DomainOverflow (wrapped by callers into a state-explosion
     diagnostic) when the node budget is exceeded.
 
-    The build hash-conses states, specs and a parallel root's sub-systems
-    to small ints in tables that live for this call only (`_Tables`); a
-    configuration is the pair (spec id, state id).  The ids change no
-    node, edge, parent or exception:
+    The build hash-conses states, specs, labels and a parallel root's
+    sub-systems to small ints in tables that live for this call only
+    (`_Tables`); a configuration is the pair (spec id, state id), indexed
+    by the one int `spec id << 32 | state id` (state ids stay far below
+    2**32: each names a node's state).  The ids change no node, edge,
+    parent or exception:
       * an id is the equality class of a value, and configurations were
         already told apart by equality, so (spec id, state id) pairs name
         the same configurations in the same BFS order;
-      * `nodes` holds the first object of each class, and equal objects
+      * the graph keeps the first object of each class, and equal objects
         render alike, so dumps and witnesses do not change.
     Every step is a pure function of what its memo key names, within one
     build where `ctx` and `rely` are fixed:
@@ -371,71 +427,76 @@ def build_graph(
     added, then the rely is stepped and the env successors added.  So a
     thread's divergence or domain overflow is never hidden behind the node
     budget, and the build stops at the same node with the same exception
-    as a plain search."""
+    as a plain search.
+
+    Nodes are added in the order the search discovers them and expanded
+    in the same order, so the node columns are the BFS queue itself."""
     if init_states is None:
         assert pre is not None
         init_states = solve_states(pre, mode=init_mode)
 
     is_pes = isinstance(root, ParallelEventSystem)
     tables = _Tables()
-    state_id, spec_id = tables.state, tables.spec
+    state_id, spec_id, label_id = tables.state, tables.spec, tables.label
     states, specs = state_id.objs, spec_id.objs
 
-    index: dict = {}  # (spec id, state id) -> node idx
-    confs: list = []  # node idx -> (spec id, state id)
-    nodes: list = []
-    comp_edges: list = []
-    env_edges: list = []
-    parents: dict = {}
-    initials: list = []
+    index: dict = {}  # spec id << 32 | state id -> node idx
+    node_spec, node_state, parent, via = array("l"), array("l"), array("l"), array("l")
+    comp_src, comp_label, comp_dst = array("l"), array("l"), array("l")
+    env_src, env_dst, initials = array("l"), array("l"), array("l")
     env_succs: dict = {}  # state id -> [t id]
 
-    def intern(conf: tuple[int, int]) -> tuple[int, bool]:
-        idx = index.get(conf)
-        if idx is not None:
-            return idx, False
-        idx = len(nodes)
+    def add(key: int, p: int, si: int, src: int, lbl: int) -> int:
+        """Add the new configuration (p, si), reached from node `src` by
+        label id `lbl` (-1: env step or root)."""
+        idx = len(node_spec)
         if idx >= budget:
             raise DomainOverflow("<node budget>", idx + 1)
-        index[conf] = idx
-        confs.append(conf)
-        nodes.append((specs[conf[0]], states[conf[1]]))
-        return idx, True
+        index[key] = idx
+        node_spec.append(p)
+        node_state.append(si)
+        parent.append(src)
+        via.append(lbl)
+        return idx
 
-    work: deque = deque()
     p0 = spec_id(root)
     for s in init_states:
-        idx, new = intern((p0, state_id(s)))
-        initials.append(idx)
-        if new:
-            work.append(idx)
+        si = state_id(s)
+        key = p0 << 32 | si
+        idx = index.get(key)
+        initials.append(add(key, p0, si, -1, -1) if idx is None else idx)
 
-    while work:
-        idx = work.popleft()
-        p, si = confs[idx]
-        spec, s = nodes[idx]
+    idx = 0
+    while idx < len(node_spec):
+        p, si = node_spec[idx], node_state[idx]
+        spec, s = specs[p], states[si]
         if is_pes:
             succs = step_pes(ctx, spec, s, tables, p, si)
         else:
-            succs = [(lbl, spec_id(spec2), state_id(t))
+            succs = [(label_id(lbl), spec_id(spec2), state_id(t))
                      for lbl, spec2, t in step_es(ctx, spec, s, "es")]
         for lbl, p2, t in succs:
-            jdx, new = intern((p2, t))
-            comp_edges.append((idx, lbl, jdx))
-            if new:
-                parents[jdx] = (idx, "comp", lbl)
-                work.append(jdx)
+            key = p2 << 32 | t
+            jdx = index.get(key)
+            if jdx is None:
+                jdx = add(key, p2, t, idx, lbl)
+            comp_src.append(idx)
+            comp_label.append(lbl)
+            comp_dst.append(jdx)
         env = env_succs.get(si)
         if env is None:
             env = env_succs[si] = [state_id(t) for t in rely.successors(s)]
         for t in env:
-            jdx, new = intern((p, t))
-            env_edges.append((idx, jdx))
-            if new:
-                parents[jdx] = (idx, "env", None)
-                work.append(jdx)
+            key = p << 32 | t
+            jdx = index.get(key)
+            if jdx is None:
+                jdx = add(key, p, t, idx, -1)
+            env_src.append(idx)
+            env_dst.append(jdx)
+        idx += 1
 
-    return ConfigGraph(nodes, comp_edges, env_edges, initials, parents)
+    return ConfigGraph(specs, states, tables.label.objs, node_spec, node_state,
+                       comp_src, comp_label, comp_dst, env_src, env_dst, initials, parent, via)
 
 
 def render_conf(ctx: Ctx, conf) -> str:

@@ -15,9 +15,13 @@ from rgkit.buddy import (
     inv_mempool_info,
     mem_part,
     mp_free_loopinv,
+    PREMISES,
+    _enumerate_bitmaps,
+    _oracle_tasks,
     partition_theorem_oracle,
     valid_assignment_estimate,
 )
+from rgkit import buddy_checks
 from rgkit.buddy_checks import analyze_kernel
 from rgkit.checker import Universe, check_loop_variant
 from rgkit.relations import StateSet, identity_rel, univ_rel
@@ -72,6 +76,24 @@ def test_partition_oracle_premise_necessity():
     assert v.failed and v.clause == "partition-violated"
     v2 = partition_theorem_oracle(D12, drop_premise="inv_bitmap0")
     assert v2.failed
+
+
+@pytest.mark.parametrize("dims, drop", [
+    *((D12, drop) for drop in (None, *PREMISES)),
+    (BuddyDims(n_max=1, n_levels=1, max_sz=16), None),
+    (BuddyDims(n_max=2, n_levels=2), None),
+])
+def test_oracle_tasks_cover_the_enumeration_in_order(dims, drop):
+    """The oracle's tasks, one per prefix of level-0 cells and the first
+    level-1 cell, enumerate together exactly the single search, in its
+    order, so the ordered merge sees what one search sees."""
+    tasks = _oracle_tasks(dims, drop)
+    chunks = [list(_enumerate_bitmaps(d, dr, prefix)) for d, dr, prefix in tasks]
+    assert [b for chunk in chunks for b in chunk] == list(_enumerate_bitmaps(dims, drop))
+    assert all(chunks)
+    if dims.n_max == 2:
+        # the first cell's DIVIDED chunk (66,560 of 67,600) no longer dominates
+        assert len(tasks) == 40 and max(map(len, chunks)) == 16_384
 
 
 def test_partition_oracle_degenerate_one_level():
@@ -257,7 +279,17 @@ class RejectPair:
         return (s, t) != self.pair
 
 
-def test_kernel_checks_report_first_failure_in_graph_order():
+class RejectState:
+    """A postcondition that holds at every state except one."""
+
+    def __init__(self, s):
+        self.s = s
+
+    def holds(self, s):
+        return s != self.s
+
+
+def test_kernel_checks_report_first_failure_in_graph_order(monkeypatch):
     """analyze_kernel evaluates each distinct state and (thread, pre, post)
     triple once; its counts and first failures are those of a scan over
     every node and edge."""
@@ -294,3 +326,19 @@ def test_kernel_checks_report_first_failure_in_graph_order():
     verdict = dict(analyze_kernel(m).verdicts)["thread-guarantees"]
     assert verdict.failed and verdict.witness == {
         "thread": lbl.k, "label": lbl.render(), "pre": to_dict(pre), "post": to_dict(post)}
+
+    # the first edge that returns a thread to its head after an alloc
+    heads = m.thread_systems
+
+    def completes_alloc(a, lbl, b):
+        t = lbl.k
+        return (t in heads and g.nodes[b][0].get(t) == heads[t] and g.nodes[a][0].get(t) != heads[t]
+                and m.layout.lvar(states[a], "cur_op", t) == "alloc")
+
+    a, lbl, _ = next(e for e in g.comp_edges if completes_alloc(*e))
+    monkeypatch.setattr(buddy_checks, "alloc_post", lambda *args: RejectState(states[a]))
+    verdict = dict(analyze_kernel(m).verdicts)["service-postconditions"]
+    lvar = m.layout.lvar
+    assert verdict.failed and verdict.witness == {
+        "thread": lbl.k, "service": "alloc", "size": lvar(states[a], "cur_sz", lbl.k),
+        "timeout": lvar(states[a], "cur_tmo", lbl.k), "state": to_dict(states[a])}

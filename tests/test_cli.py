@@ -171,16 +171,28 @@ def test_bpel_inject_one_injectivity_check_per_mutation(monkeypatch, argv, check
     assert len(calls) == checks
 
 
-def test_oracle_cli_workers_byte_identical():
-    for drop, code in (([], 0), (["--drop", "inv_bitmapn"], 1)):
-        argv1 = ["--workers", "1", "oracle", "--n-max", "1", "--n-levels", "2"] + drop
-        argv2 = ["--workers", "2", "oracle", "--n-max", "1", "--n-levels", "2"] + drop
+def assert_oracle_workers_byte_identical(dims, cases):
+    for drop, code in cases:
+        argv1 = ["--workers", "1", "oracle"] + dims + drop
+        argv2 = ["--workers", "2", "oracle"] + dims + drop
         code1, out1 = run_cli(argv1)
         code2, out2 = run_cli(argv2)
         assert code1 == code2 == code
         s1 = strip_millis(out1).replace('"command": ["--workers", "1", ', '"command": [')
         s2 = strip_millis(out2).replace('"command": ["--workers", "2", ', '"command": [')
         assert s1 == s2
+
+
+def test_oracle_cli_workers_byte_identical():
+    assert_oracle_workers_byte_identical(
+        ["--n-max", "1", "--n-levels", "2"], (([], 0), (["--drop", "inv_bitmapn"], 1)))
+
+
+def test_oracle_cli_workers_byte_identical_on_split_chunks():
+    """At n_max 2 the oracle runs 40 tasks, four of them of 16,384
+    assignments, so both workers share the work of the first cell's
+    DIVIDED chunk; the merged report is still one worker's."""
+    assert_oracle_workers_byte_identical(["--n-max", "2", "--n-levels", "2"], (([], 0),))
 
 
 def test_fmt_roundtrip():
@@ -348,6 +360,25 @@ def test_full_universe_over_budget_is_diagnostic(argv, expected):
 BUILTIN_SET = "<model declaring SET s := BUILTIN inv>"
 EQUIV_E04 = ["check", "equiv-cpts", corpus_path("cpts_suite.pcm"), "--target", "e04",
              "--pre", "init0", "--universe-rel", "full", "--max-len", "2"]
+
+
+def test_cached_parser_keeps_no_state_between_calls():
+    """`main` parses with one parser per process.  Back-to-back calls, one
+    giving `--disable` twice, print what they print with a fresh parser
+    each: no appended list or default carries over."""
+    disabled = EQUIV_E04 + ["--disable", "CptsMOne", "--disable", "CptsMEnv"]
+    calls = [disabled, EQUIV_E04, disabled, EQUIV_E04 + ["--disable", "CptsMSeq"]]
+    assert cli.build_parser() is cli.build_parser()
+    cached = [(code, strip_millis(out)) for code, out in map(run_cli, calls)]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        code, out = run_cli(argv)
+        fresh.append((code, strip_millis(out)))
+    assert cached == fresh
+    assert [code for code, _ in cached] == [1, 0, 1, 1]
+    assert records(cached[0][1])[1]["detail"]["disabled"] == ["CptsMEnv", "CptsMOne"]
+    assert records(cached[3][1])[1]["detail"]["disabled"] == ["CptsMSeq"]
 
 
 @pytest.mark.parametrize("argv, message", [

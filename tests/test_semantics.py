@@ -1,6 +1,8 @@
 import glob
 import os
 from collections import deque
+from collections.abc import Sequence
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,7 +38,6 @@ from rgkit.modelfile import load
 from rgkit.relations import RelDesc, RelRule, StateSet, identity_rel, true_set
 from rgkit.semantics import (
     AtomDivergence,
-    ConfigGraph,
     Ctx,
     build_graph,
     dump_graph,
@@ -278,9 +279,11 @@ def reference_step_es(ctx, s_sys, s, k):
     return dedup
 
 
-def reference_build(ctx, root, init_states, rely, budget=1_000_000) -> ConfigGraph:
+def reference_build(ctx, root, init_states, rely, budget=1_000_000):
     """The plain BFS: `reference_step_es` per system and `ps.update` on
-    every step, with no memo.  A test oracle for `build_graph`."""
+    every step, with no memo.  A test oracle for `build_graph`: returns
+    plain lists (nodes, comp edges, env edges, initials) and the parent
+    dict node -> (parent, kind, label)."""
     index, nodes, comp_edges, env_edges, parents, initials = {}, [], [], [], {}, []
 
     def intern(conf):
@@ -318,7 +321,26 @@ def reference_build(ctx, root, init_states, rely, budget=1_000_000) -> ConfigGra
             if new:
                 parents[jdx] = (idx, "env", None)
                 work.append(jdx)
-    return ConfigGraph(nodes, comp_edges, env_edges, initials, parents)
+    return nodes, comp_edges, env_edges, initials, parents
+
+
+def reference_path(parents, idx):
+    """BFS-shortest derivation of node `idx` through a parent dict."""
+    out = []
+    while idx in parents:
+        p, kind, lbl = parents[idx]
+        out.append((idx, kind, lbl))
+        idx = p
+    out.append((idx, None, None))
+    out.reverse()
+    return out
+
+
+def parent_rows(g):
+    """(node, parent, kind, label) of every node with a parent, read from
+    the graph's parent and via columns."""
+    return [(i, p, "env" if v < 0 else "comp", None if v < 0 else g.labels[v])
+            for i, (p, v) in enumerate(zip(g.parent, g.via)) if p >= 0]
 
 
 def outcome(build):
@@ -331,21 +353,29 @@ def outcome(build):
 
 
 def assert_same_outcome(ctx, root, init_states, rely, budget=1_000_000, dump=True):
-    """Same graph, field by field and as `dump_graph` text, or the same
-    exception.  `dump=False` skips the text, which is a function of the
+    """Same graph, row by row through the column views, and as `dump_graph`
+    text, or the same exception.  Every node's `path_to` is the
+    reference's.  `dump=False` skips the text, which is a function of the
     nodes, edges and initials compared before it."""
     g = outcome(lambda: build_graph(ctx, root, None, rely, init_states=init_states, budget=budget))
     ref = outcome(lambda: reference_build(ctx, root, init_states, rely, budget))
-    if isinstance(g, tuple) or isinstance(ref, tuple):
+    if isinstance(g, tuple) or len(ref) == 2:  # an (exception type, text) outcome
         assert g == ref
         return g
-    assert g.nodes == ref.nodes
-    assert g.comp_edges == ref.comp_edges
-    assert g.env_edges == ref.env_edges
-    assert g.initials == ref.initials
-    assert list(g.parents.items()) == list(ref.parents.items())
+    nodes, comp_edges, env_edges, initials, parents = ref
+    assert list(g.nodes) == nodes
+    assert list(g.comp_edges) == comp_edges
+    assert list(g.env_edges) == env_edges
+    assert list(g.initials) == initials
+    assert parent_rows(g) == [(i, *row) for i, row in parents.items()]
+    assert all(g.via[i] == -1 for i in range(g.node_count) if g.parent[i] < 0)
+    for i in range(g.node_count):
+        assert g.path_to(i) == reference_path(parents, i), i
     if dump:
-        assert dump_graph(ctx, g) == dump_graph(ctx, ref)
+        # dump_graph reads only these four fields, so the plain lists stand in
+        plain = SimpleNamespace(nodes=nodes, comp_edges=comp_edges, env_edges=env_edges,
+                                initials=initials)
+        assert dump_graph(ctx, g) == dump_graph(ctx, plain)
     return g
 
 
@@ -456,6 +486,33 @@ def test_build_graph_matches_reference_on_two_thread_kernel():
     # the build hash-conses: equal states, and equal specs, are one object
     assert len({id(s) for _, s in g.nodes}) == len({s for _, s in g.nodes})
     assert len({id(p) for p, _ in g.nodes}) == len({p for p, _ in g.nodes})
+
+
+def test_graph_views_are_read_only_sequences():
+    """`nodes`, `comp_edges` and `env_edges` are sequences of rows built
+    from the columns: length, indexing from either end, slices as lists,
+    and iteration in index order."""
+    schema, ctx = mk()
+    g = build_graph(ctx, twin_threads(schema, 2), None, identity_rel(schema),
+                    init_states=schema.all_states())
+    assert g.nodes[0] == (g.specs[g.node_spec[0]], g.states[g.node_state[0]])
+    assert g.comp_edges[0] == (g.comp_src[0], g.labels[g.comp_label[0]], g.comp_dst[0])
+    assert g.env_edges[0] == (g.env_src[0], g.env_dst[0])
+    for view, n in ((g.nodes, g.node_count), (g.comp_edges, len(g.comp_src)),
+                    (g.env_edges, len(g.env_src))):
+        assert isinstance(view, Sequence)
+        rows = list(view)
+        assert len(view) == n == len(rows) > 2
+        assert [view[i] for i in range(n)] == rows
+        assert view[-1] == rows[-1] and view[-n] == rows[0]
+        assert view[1:3] == rows[1:3] and view[::-2] == rows[::-2] and view[n:] == []
+        assert list(reversed(view)) == rows[::-1]
+        assert rows[1] in view and view.index(rows[1]) == rows.index(rows[1])
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        with pytest.raises(TypeError):
+            view[0] = rows[0]
 
 
 def twin_threads(schema, bound):
