@@ -684,9 +684,15 @@ def check_invariant(
     premises["stable(inv,rely)"] = "PASS" if st_rely else "FAIL"
     premises["stable(inv,guar)"] = "PASS" if st_guar else "FAIL"
 
-    direct_bad = next(
-        (idx for idx, (_, s) in enumerate(graph.nodes) if not inv.holds(s)), None
-    )
+    # inv is asked once per state id, in node order, so the first bad node
+    # and its witness are those of a scan that asks at every node.
+    direct_bad, inv_ok = None, set()  # state ids where inv holds
+    for idx, si in enumerate(graph.node_state):
+        if si not in inv_ok:
+            if not inv.holds(graph.states[si]):
+                direct_bad = idx
+                break
+            inv_ok.add(si)
     premises["direct-reachability"] = "FAIL" if direct_bad is not None else "PASS"
 
     all_premises = all(

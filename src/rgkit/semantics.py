@@ -12,6 +12,7 @@ quotient every semantic check in the toolkit works on.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -37,6 +38,9 @@ from .exprs import _memo
 from .relations import RelDesc, StateSet, solve_states
 from .values import DomainOverflow
 from .verdicts import Verdict, diag
+
+if array("i").itemsize < 4:  # the graph columns hold ids up to 2**31 - 1
+    raise RuntimeError("internal error: array('i') items are narrower than 32 bits")
 
 
 class AtomDivergence(Exception):
@@ -224,26 +228,31 @@ class _Intern:
 
 
 class _Tables:
-    """Intern tables and step memos of one `build_graph` call."""
+    """Intern tables and step memos of one `build_graph` call.  A step memo
+    key is one int (`hi << 32 | lo`, lo < 2**32), and its value one flat
+    tuple of ids or one id."""
 
-    __slots__ = ("state", "spec", "sub", "label", "threads", "systems", "steps", "updates")
+    __slots__ = ("state", "spec", "sub", "label", "thread", "threads", "systems", "steps", "updates")
 
     def __init__(self):
         self.state = _Intern()
         self.spec = _Intern()
         self.sub = _Intern()
         self.label = _Intern()
-        self.threads: dict = {}  # spec id -> ((k, sub id), ...)
-        self.systems: dict = {}  # ((k, sub id), ...) -> spec id
-        self.steps: dict = {}  # (k, sub id, state id) -> [(label id, sub2 id, t id)]
-        self.updates: dict = {}  # (spec id, k, sub2 id) -> spec2 id
+        self.thread = _Intern()  # (k, sub id) -> thread id
+        self.threads: dict = {}  # spec id -> (thread id, ...), in `ps.systems` order
+        self.systems: dict = {}  # (thread id, ...) -> spec id
+        self.steps: dict = {}  # thread id << 32 | state id -> (label id, thread2 id, t id, ...)
+        self.updates: dict = {}  # spec id << 32 | thread2 id -> spec2 id
 
 
-def _updated(tables: _Tables, ps: ParallelEventSystem, threads: tuple, k: Any, q2: int) -> int:
-    """Spec id of `ps` with system `k` replaced by sub id `q2`.  Equal
-    systems have equal (k, sub id) vectors, so `ps.update` runs once per
-    distinct successor system."""
-    vec = tuple((kk, q2 if kk == k else q) for kk, q in threads)
+def _updated(tables: _Tables, ps: ParallelEventSystem, threads: tuple, j2: int) -> int:
+    """Spec id of `ps` with the thread (k, q2) of thread id `j2` put in
+    place of its system `k`.  Equal systems have equal thread-id vectors,
+    so `ps.update` runs once per distinct successor system."""
+    objs = tables.thread.objs
+    k, q2 = objs[j2]
+    vec = tuple(j2 if objs[j][0] == k else j for j in threads)
     p2 = tables.systems.get(vec)
     if p2 is None:
         p2 = tables.systems[vec] = tables.spec(ps.update(k, tables.sub.objs[q2]))
@@ -264,37 +273,38 @@ def step_pes(
 
     `build_graph` passes its `tables` with `p` and `si`, the ids of `ps`
     and `s` in them, and gets back (label id, spec2 id, t id) triples.
-    The tables memoise `step_es` per (k, sub id, state id) and the
-    successor spec per (spec id, k, sub2 id) for the whole build (see its
-    docstring).  Without tables the call uses fresh ones and returns
-    (label, system, state) triples.  Every system's step list is computed
-    before the caller sees any successor."""
+    For the whole build the tables memoise `step_es` per thread id (the
+    interned (k, sub id) pair) and state id, as one flat tuple of
+    (label id, thread2 id, t id) triples, and the successor spec per
+    (spec id, thread2 id) (see its docstring).  Without tables the call
+    uses fresh ones and returns (label, system, state) triples.  Every
+    system's step list is computed before the caller sees any successor."""
     fresh = tables is None
     if fresh:
         tables = _Tables()
         p, si = tables.spec(ps), tables.state(s)
     steps, updates = tables.steps, tables.updates
-    subs = tables.sub.objs
+    sub_id, thread_id = tables.sub, tables.thread
     threads = tables.threads.get(p)
     if threads is None:
-        sub_id = tables.sub
-        threads = tables.threads[p] = tuple((k, sub_id(sub)) for k, sub in ps.systems)
+        threads = tables.threads[p] = tuple(thread_id((k, sub_id(sub))) for k, sub in ps.systems)
         tables.systems[threads] = p
-    out = []
-    for k, q in threads:
-        key = (k, q, si)
+    pk, out = p << 32, []
+    for j in threads:
+        key = j << 32 | si
         sub_steps = steps.get(key)
         if sub_steps is None:
-            label_id, sub_id, state_id = tables.label, tables.sub, tables.state
-            sub_steps = steps[key] = [
-                (label_id(lbl), sub_id(sub2), state_id(t))
-                for lbl, sub2, t in step_es(ctx, subs[q], s, k)
-            ]
-        for lbl, q2, t in sub_steps:
-            ukey = (p, k, q2)
-            p2 = updates.get(ukey)
+            k, q = thread_id.objs[j]
+            label_id, state_id = tables.label, tables.state
+            sub_steps = steps[key] = tuple(
+                i for lbl, sub2, t in step_es(ctx, sub_id.objs[q], s, k)
+                for i in (label_id(lbl), thread_id((k, sub_id(sub2))), state_id(t))
+            )
+        it = iter(sub_steps)
+        for lbl, j2, t in zip(it, it, it):
+            p2 = updates.get(pk | j2)
             if p2 is None:
-                p2 = updates[ukey] = _updated(tables, ps, threads, k, q2)
+                p2 = updates[pk | j2] = _updated(tables, ps, threads, j2)
             out.append((lbl, p2, t))
     if fresh:
         labels, specs, states = tables.label.objs, tables.spec.objs, tables.state.objs
@@ -331,7 +341,7 @@ class Rows(Sequence):
 @dataclass
 class ConfigGraph:
     """Finite closure of configurations under component and env steps,
-    stored as `array('l')` columns of ids into three tables.
+    stored as `array('i')` columns of ids into three tables.
 
     Node i, in BFS order, is (specs[node_spec[i]], states[node_state[i]]).
     Comp edge e is (comp_src[e], labels[comp_label[e]], comp_dst[e]) and
@@ -401,12 +411,13 @@ def build_graph(
     Raises DomainOverflow (wrapped by callers into a state-explosion
     diagnostic) when the node budget is exceeded.
 
-    The build hash-conses states, specs, labels and a parallel root's
-    sub-systems to small ints in tables that live for this call only
-    (`_Tables`); a configuration is the pair (spec id, state id), indexed
-    by the one int `spec id << 32 | state id` (state ids stay far below
-    2**32: each names a node's state).  The ids change no node, edge,
-    parent or exception:
+    The build hash-conses states, specs, labels, a parallel root's
+    sub-systems and its threads, the (k, sub id) pairs, to small ints in
+    tables that live for this call only (`_Tables`); a configuration is the
+    pair (spec id, state id), indexed per spec id by a dict from state id
+    to node.  Every id names a node's spec, state or step, so it stays far
+    below 2**31 and fits the columns and the low half of a packed memo
+    key.  The ids change no node, edge, parent or exception:
       * an id is the equality class of a value, and configurations were
         already told apart by equality, so (spec id, state id) pairs name
         the same configurations in the same BFS order;
@@ -415,12 +426,12 @@ def build_graph(
     Every step is a pure function of what its memo key names, within one
     build where `ctx` and `rely` are fixed:
       * `rely.successors` runs once per state id;
-      * `step_es` runs once per (k, sub id, state id): a thread's steps
+      * `step_es` runs once per (thread id, state id): a thread's steps
         depend on its own sub-system and the shared state, not on the
         other threads;
-      * the successor spec is memoised per (spec id, k, sub2 id), and
-        `ps.update` runs once per distinct vector of (k, sub id) pairs,
-        so equal successor systems are one object;
+      * the successor spec is memoised per (spec id, thread2 id), and
+        `ps.update` runs once per distinct vector of thread ids, so equal
+        successor systems are one object;
       * a call that raises stores nothing.
     Raise order: for one configuration every thread's step list is
     computed before any successor is added, then the comp successors are
@@ -440,19 +451,19 @@ def build_graph(
     state_id, spec_id, label_id = tables.state, tables.spec, tables.label
     states, specs = state_id.objs, spec_id.objs
 
-    index: dict = {}  # spec id << 32 | state id -> node idx
-    node_spec, node_state, parent, via = array("l"), array("l"), array("l"), array("l")
-    comp_src, comp_label, comp_dst = array("l"), array("l"), array("l")
-    env_src, env_dst, initials = array("l"), array("l"), array("l")
+    index: defaultdict = defaultdict(dict)  # spec id -> {state id -> node idx}
+    node_spec, node_state, parent, via = array("i"), array("i"), array("i"), array("i")
+    comp_src, comp_label, comp_dst = array("i"), array("i"), array("i")
+    env_src, env_dst, initials = array("i"), array("i"), array("i")
     env_succs: dict = {}  # state id -> [t id]
 
-    def add(key: int, p: int, si: int, src: int, lbl: int) -> int:
+    def add(p: int, si: int, src: int, lbl: int) -> int:
         """Add the new configuration (p, si), reached from node `src` by
         label id `lbl` (-1: env step or root)."""
         idx = len(node_spec)
         if idx >= budget:
             raise DomainOverflow("<node budget>", idx + 1)
-        index[key] = idx
+        index[p][si] = idx
         node_spec.append(p)
         node_state.append(si)
         parent.append(src)
@@ -462,9 +473,8 @@ def build_graph(
     p0 = spec_id(root)
     for s in init_states:
         si = state_id(s)
-        key = p0 << 32 | si
-        idx = index.get(key)
-        initials.append(add(key, p0, si, -1, -1) if idx is None else idx)
+        idx = index[p0].get(si)
+        initials.append(add(p0, si, -1, -1) if idx is None else idx)
 
     idx = 0
     while idx < len(node_spec):
@@ -476,21 +486,20 @@ def build_graph(
             succs = [(label_id(lbl), spec_id(spec2), state_id(t))
                      for lbl, spec2, t in step_es(ctx, spec, s, "es")]
         for lbl, p2, t in succs:
-            key = p2 << 32 | t
-            jdx = index.get(key)
+            jdx = index[p2].get(t)
             if jdx is None:
-                jdx = add(key, p2, t, idx, lbl)
+                jdx = add(p2, t, idx, lbl)
             comp_src.append(idx)
             comp_label.append(lbl)
             comp_dst.append(jdx)
         env = env_succs.get(si)
         if env is None:
             env = env_succs[si] = [state_id(t) for t in rely.successors(s)]
+        part = index[p]
         for t in env:
-            key = p << 32 | t
-            jdx = index.get(key)
+            jdx = part.get(t)
             if jdx is None:
-                jdx = add(key, p, t, idx, -1)
+                jdx = add(p, t, idx, -1)
             env_src.append(idx)
             env_dst.append(jdx)
         idx += 1

@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import corpus_path
+from rgkit import checker
 from rgkit.adapters import AdapterContext, Basic, IMP_ADAPTER
 from rgkit.checker import (
     BasicEvtNode,
@@ -40,7 +42,8 @@ from rgkit.relations import (
     identity_rel,
     true_set,
 )
-from rgkit.semantics import Ctx
+from rgkit.modelfile import load
+from rgkit.semantics import Ctx, build_graph
 from rgkit.values import IntType, Schema
 
 
@@ -353,6 +356,46 @@ def test_check_invariant_unstable_guar_but_clean_graph():
     v = check_invariant(ctx, ps, init, identity_rel(schema), guar, inv)
     assert v.failed and v.clause == "premise:stable(inv,guar)"
     assert "direct reachability check passed" in v.detail["note"]
+
+
+def test_check_invariant_asks_inv_once_per_state(monkeypatch):
+    """The direct-reachability scan asks inv once per distinct state, in
+    node order: on m1_counters (64 nodes, 9 states) the verdict is the
+    same, and with the other premises forced to pass, the witness is the
+    path to the first bad node of a scan that asks at every node."""
+    mf = load(corpus_path("inv_suite.pcm"))
+    ctx, target, init = mf.ctx(), mf.pes["m1_counters"], mf.sets["all0"]
+    rely, guar, inv = mf.rels["id"], mf.rels["guar_xy_bounded"], mf.sets["inv_xy"]
+    expected = check_invariant(ctx, target, init, rely, guar, inv)
+    calls, counting, holds, stable_ = [], [True], inv.holds, checker.stable
+
+    def counted(s):
+        if counting[0]:
+            calls.append(s)
+        return holds(s)
+
+    def uncounted_stable(*a):
+        counting[0] = False
+        try:
+            return stable_(*a)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(inv, "holds", counted)
+    monkeypatch.setattr(checker, "stable", uncounted_stable)
+    v = check_invariant(ctx, target, init, rely, guar, inv)
+    assert v == expected and v.passed and v.detail["nodes"] == 64
+    # calls[0] is the initial-state premise; the rest are the direct scan
+    assert len(calls[1:]) == len(set(calls[1:])) == 9
+
+    monkeypatch.setattr(checker, "stable", lambda *a: (True, None))
+    x_le_1 = sset(ctx.schema, "<=", "x", 1)
+    v = check_invariant(ctx, target, init, rely, guar, x_le_1)
+    graph = build_graph(ctx, target, init, rely)
+    first_bad = next(i for i, (_, s) in enumerate(graph.nodes) if not x_le_1.holds(s))
+    w = checker._witness_path(ctx, graph, first_bad)
+    assert v.clause == "premises-pass-but-state-violates"
+    assert v.witness == {"computation": w.render(ctx.schema)}
 
 
 def test_check_loop_variant_counting():

@@ -1,7 +1,9 @@
 import glob
 import os
+from array import array
 from collections import deque
 from collections.abc import Sequence
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
@@ -39,6 +41,7 @@ from rgkit.relations import RelDesc, RelRule, StateSet, identity_rel, true_set
 from rgkit.semantics import (
     AtomDivergence,
     Ctx,
+    _Tables,
     build_graph,
     dump_graph,
     step_es,
@@ -515,17 +518,61 @@ def test_graph_views_are_read_only_sequences():
             view[0] = rows[0]
 
 
-def twin_threads(schema, bound):
-    """Two identical threads that each repeat x := x + 1 while x < bound."""
+def twin_threads(schema, bound, n=2):
+    """`n` identical threads k1, k2, ... that each repeat x := x + 1 while
+    x < bound."""
     inc = Basic((("x", Arith("+", Var("x"), Lit(1))),))
     bump = EsIter(StateSet(schema, Cmp("<", Var("x"), Lit(bound))), EsBasic(ev(schema, body=inc)))
-    return ParallelEventSystem((("k1", bump), ("k2", bump)))
+    return ParallelEventSystem(tuple((f"k{i}", bump) for i in range(1, n + 1)))
 
 
 def test_build_graph_matches_reference_on_identical_threads():
     schema, ctx = mk()
     g = assert_same_outcome(ctx, twin_threads(schema, 2), schema.all_states(), identity_rel(schema))
     assert {lbl.k for _, lbl, _ in g.comp_edges} == {"k1", "k2"}
+
+
+def test_build_graph_matches_reference_on_three_identical_threads():
+    """Three threads over one sub-system share its sub id but not their
+    thread ids, so their steps and successor specs stay apart."""
+    schema, ctx = mk()
+    ps = twin_threads(schema, 1, n=3)
+    g = assert_same_outcome(ctx, ps, schema.all_states(), identity_rel(schema))
+    assert {lbl.k for _, lbl, _ in g.comp_edges} == {"k1", "k2", "k3"}
+    rely = RelDesc(schema, "rules", rules=(
+        RelRule(StateSet(schema, Cmp("=", Var("x"), Lit(0))), (("x", Lit(1)),)),
+    ))
+    assert_same_outcome(ctx, ps, [schema.state(x=0)], rely)
+    budget = g.node_count // 2
+    result = assert_same_outcome(ctx, ps, schema.all_states(), identity_rel(schema), budget)
+    assert result == (DomainOverflow, f"domain-overflow: <node budget> <- {budget + 1}")
+
+
+def test_graph_columns_are_32_bit_int_arrays():
+    schema, ctx = mk()
+    g = build_graph(ctx, twin_threads(schema, 2), None, identity_rel(schema),
+                    init_states=schema.all_states())
+    columns = [f.name for f in fields(g) if isinstance(getattr(g, f.name), array)]
+    assert len(columns) == 10
+    assert all(getattr(g, c).typecode == "i" for c in columns)
+
+
+def test_step_pes_tabled_maps_back_to_untabled():
+    """At every configuration of the two-thread kernel, the id triples
+    from one set of tables shared by all calls, read back through the
+    tables, are the (label, system, state) triples of a fresh call."""
+    dims = BuddyDims(n_levels=1, max_sz=16, threads=("t1", "t2"), alloc_sizes=(4,),
+                     timeouts=(0,), free_blocks=(), tick_max=0)
+    m = build_kernel_model(dims)
+    g = build_graph(m.ctx, m.pes, None, m.rely, init_states=[m.initial_state()])
+    tables = _Tables()
+    labels, specs, states = tables.label.objs, tables.spec.objs, tables.state.objs
+    for spec, s in g.nodes:
+        p, si = tables.spec(spec), tables.state(s)
+        for _ in range(2):  # the second call reads the memos
+            got = step_pes(m.ctx, spec, s, tables, p, si)
+            assert [(labels[lbl], specs[p2], states[t]) for lbl, p2, t in got] == \
+                step_pes(m.ctx, spec, s)
 
 
 @pytest.mark.parametrize("budget, message", [
