@@ -276,7 +276,7 @@ def step_pes(
     For the whole build the tables memoise `step_es` per thread id (the
     interned (k, sub id) pair) and state id, as one flat tuple of
     (label id, thread2 id, t id) triples, and the successor spec per
-    (spec id, thread2 id) (see its docstring).  Without tables the call
+    (spec id, thread2 id) (see `build_graph`).  Without tables the call
     uses fresh ones and returns (label, system, state) triples.  Every
     system's step list is computed before the caller sees any successor."""
     fresh = tables is None

@@ -480,10 +480,15 @@ def test_step_es_matches_reference(path, tname, rels):
                 assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(again, got))
 
 
-def test_build_graph_matches_reference_on_two_thread_kernel():
+def two_thread_kernel():
+    """A small two-thread buddy-pool model (1,138 configurations)."""
     dims = BuddyDims(n_levels=1, max_sz=16, threads=("t1", "t2"), alloc_sizes=(4,),
                      timeouts=(0,), free_blocks=(), tick_max=0)
-    m = build_kernel_model(dims)
+    return build_kernel_model(dims)
+
+
+def test_build_graph_matches_reference_on_two_thread_kernel():
+    m = two_thread_kernel()
     g = assert_same_outcome(m.ctx, m.pes, [m.initial_state()], m.rely)
     assert g.node_count == 1138
     # the build hash-conses: equal states, and equal specs, are one object
@@ -558,12 +563,10 @@ def test_graph_columns_are_32_bit_int_arrays():
 
 
 def test_step_pes_tabled_maps_back_to_untabled():
-    """At every configuration of the two-thread kernel, the id triples
-    from one set of tables shared by all calls, read back through the
-    tables, are the (label, system, state) triples of a fresh call."""
-    dims = BuddyDims(n_levels=1, max_sz=16, threads=("t1", "t2"), alloc_sizes=(4,),
-                     timeouts=(0,), free_blocks=(), tick_max=0)
-    m = build_kernel_model(dims)
+    """At every configuration of the small two-thread kernel, the id
+    triples from one set of tables shared by all calls, read back through
+    the tables, are the (label, system, state) triples of a fresh call."""
+    m = two_thread_kernel()
     g = build_graph(m.ctx, m.pes, None, m.rely, init_states=[m.initial_state()])
     tables = _Tables()
     labels, specs, states = tables.label.objs, tables.spec.objs, tables.state.objs
