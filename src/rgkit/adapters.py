@@ -25,9 +25,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from .exprs import Expr, _memo, _node, render_expr, substitute
-from .relations import RGSpec, StateSet, compile_assigns, check_assigns, solve_states
-from .values import DomainOverflow, LoadError, Schema
+from .exprs import Cmp, Expr, Lit, Var, _memo, _node, render_expr, substitute
+from .relations import RGSpec, StateSet, compile_assigns, check_assigns, solve_states, true_set
+from .values import BoolType, DomainOverflow, IntType, LoadError, Schema
 from .verdicts import Verdict, diag, fail, ok
 
 
@@ -305,8 +305,6 @@ def _render_cond(c) -> str:
 
 
 def _is_true_cond(c) -> bool:
-    from .exprs import Lit
-
     e = c.expr if isinstance(c, StateSet) else c
     return e == Lit(True)
 
@@ -436,16 +434,12 @@ class ProgramAdapter:
 
 
 def _imp_samples(ctx: AdapterContext) -> list[tuple[Any, tuple]]:
-    from .exprs import Cmp, Lit, Var
-
     schema = ctx.schema
     s0 = schema.initial_state()
     progs: list[ImpProgram] = []
     if schema.names:
         v = schema.names[0]
         t = schema.types[0]
-        from .values import IntType, BoolType as BT
-
         if isinstance(t, IntType):
             cond = StateSet(schema, Cmp("<", Var(v), Lit(t.hi)))
             inc = Basic(((v, Lit(t.lo)),))
@@ -456,7 +450,7 @@ def _imp_samples(ctx: AdapterContext) -> list[tuple[Any, tuple]]:
                 While(cond, Basic(((v, Lit(t.hi)),))),
                 Await(cond, inc),
             ]
-        elif isinstance(t, BT):
+        elif isinstance(t, BoolType):
             cond = StateSet(schema, Var(v))
             progs += [Basic(((v, Lit(False)),)), Cond(cond, SKIP, SKIP)]
     progs.append(SKIP)
@@ -464,8 +458,6 @@ def _imp_samples(ctx: AdapterContext) -> list[tuple[Any, tuple]]:
 
 
 def _rel_samples(ctx: AdapterContext) -> list[tuple[Any, tuple]]:
-    from .relations import true_set
-
     schema = ctx.schema
     m = make_rel_machine(
         schema,

@@ -48,6 +48,7 @@ from .exprs import (
     Var,
     _node,
     check_expr,
+    compile_expr,
     render_expr,
 )
 from .relations import RelDesc, StateSet, check_assigns
@@ -310,14 +311,11 @@ def targets_sat(bctx: BpelCtx, fe: FlowEle, s: tuple) -> bool:
     if fe.targets is None:
         return True
     jc, links = fe.targets
-    schema = bctx.schema
     fired = _links_value(bctx, s)
     if jc is None:
         cond = any(fired[l] for l in links)
     else:
-        from .exprs import eval_expr
-
-        cond = bool(eval_expr(jc, schema, s))
+        cond = _holds(bctx, jc, s)
     return cond and all(fired[l] for l in links)
 
 
@@ -331,28 +329,40 @@ def fire_sources(bctx: BpelCtx, sources, s: tuple) -> tuple:
     holds in the input state; store and tick unchanged."""
     if not sources:
         return s
-    from .exprs import eval_expr
-
     schema = bctx.schema
     rec = list(schema.get(s, bctx.links_var))
     for l, tc in sources:
-        if bool(eval_expr(tc, schema, s)):
+        if _holds(bctx, tc, s):
             rec[bctx.links.index(l)] = True
     return schema.set(s, bctx.links_var, tuple(rec))
 
 
+def _compiled(node, attr: str, schema: Schema, build):
+    """`build()`, cached on the syntax node under `attr` together with the
+    schema it was compiled for.  A node stepped under another schema is
+    compiled afresh: compiled code reads variables at the schema's
+    indices."""
+    cached = node.__dict__.get(attr)
+    if cached is None or cached[0] is not schema:
+        cached = (schema, build())
+        object.__setattr__(node, attr, cached)
+    return cached[1]
+
+
+def _holds(bctx: BpelCtx, e: Expr, s: tuple) -> bool:
+    """The guard `e` (a join, transition, If or While condition) in `s`,
+    compiled once per expression node by `_compiled`."""
+    schema = bctx.schema
+    return bool(_compiled(e, "_guard", schema, lambda: compile_expr(e, schema))(s, []))
+
+
 def _apply_spec(bctx: BpelCtx, node, s: tuple) -> tuple:
-    """`node.spec` applied to `s`.  The compiled assignments are cached on
-    the activity or handler node with the schema they were compiled for,
-    as `adapters._basic_apply` caches `_apply`."""
+    """`node.spec` applied to `s`, compiled once per activity or handler
+    node by `_compiled`."""
     if not node.spec:
         return s
     schema = bctx.schema
-    cached = node.__dict__.get("_apply")
-    if cached is None or cached[0] is not schema:
-        cached = (schema, compile_assigns(schema, node.spec))
-        object.__setattr__(node, "_apply", cached)
-    return cached[1](s)
+    return _compiled(node, "_apply", schema, lambda: compile_assigns(schema, node.spec))(s)
 
 
 def handler_step(bctx: BpelCtx, h: EventHandler, s: tuple) -> list[tuple[Activity, tuple]]:
@@ -402,16 +412,12 @@ def bpel_step(bctx: BpelCtx, b: Activity, s: tuple) -> list[tuple[Activity, tupl
             else:
                 out.append((ASeq(b2, b.b), t))
     elif isinstance(b, AIf):
-        from .exprs import eval_expr
-
-        if bool(eval_expr(b.cond, schema, s)):
+        if _holds(bctx, b.cond, s):
             out.append((b.a, s))
         else:
             out.append((b.b, s))
     elif isinstance(b, AWhile):
-        from .exprs import eval_expr
-
-        if bool(eval_expr(b.cond, schema, s)):
+        if _holds(bctx, b.cond, s):
             if not isinstance(b.a, ActFin):
                 out.append((ASeq(b.a, b), s))
         else:

@@ -39,6 +39,7 @@ from .relations import (
     RGSpec,
     RelDesc,
     StateSet,
+    complement,
     identity_rel,
     intersect,
     true_set,
@@ -485,8 +486,6 @@ def _prove_es(ps: _ProveState, target: EventSystem, spec: RGSpec, outline: Outli
         if not isinstance(target, EsIter):
             return _shape("RG-Iter", target)
         inv = outline.inv
-        from .relations import complement
-
         checks = (
             ("pre-subset-inv", set_subset(spec.pre, inv, u)),
             ("inv-outside-b-subset-post", set_subset(intersect(inv, complement(target.cond)), spec.post, u)),

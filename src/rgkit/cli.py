@@ -28,7 +28,7 @@ from .checker import (
     soundness_crosscheck,
 )
 from .computations import MODULAR_RULES, check_linear_modular_equiv
-from .events import ParallelEventSystem
+from .events import ParallelEventSystem, render_system
 from .modelfile import BpelFile, ModelFile, load, serialize, serialize_bpel
 from .semantics import build_graph, dump_graph, graph_diag
 from .values import DomainOverflow, LoadError
@@ -248,8 +248,6 @@ def cmd_bpel(args, rep: Reporter) -> None:
     names = [args.activity] if args.activity else list(bf.activities)
 
     if args.what == "compile":
-        from .events import render_system
-
         for name in names:
             act = bf.activities[name]
             img = bp.compile_activity(bctx, act)

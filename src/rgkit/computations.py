@@ -49,6 +49,7 @@ from .events import (
     EsTriggered,
     EventSystem,
     FIN,
+    ParallelEventSystem,
     is_fin,
     render_system,
     tau,
@@ -64,6 +65,7 @@ from .semantics import (
     _seq_succ,
     _trg_succ,
     step_es,
+    step_pes,
 )
 from .relations import RelDesc, StateSet, solve_states
 from .verdicts import Verdict, fail, ok
@@ -450,9 +452,6 @@ def dump_computations(ctx: Ctx, comps) -> list[list[dict]]:
 def computation_valid(ctx: Ctx, c: Computation, k: Any = "es") -> tuple[bool, str]:
     """Replay a computation: every adjacent pair must satisfy its recorded
     step kind (env preserves the spec; comp pairs must be semantic steps)."""
-    from .events import ParallelEventSystem
-    from .semantics import step_pes
-
     for i in range(len(c) - 1):
         (spec1, s1), (spec2, s2) = c.confs[i], c.confs[i + 1]
         kind = c.kinds[i]

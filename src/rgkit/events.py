@@ -14,7 +14,7 @@ from typing import Any
 
 from .exprs import Expr, Lit, _node, check_expr, substitute
 from .relations import StateSet
-from .values import BoolType, LoadError, Schema, Type, render_value
+from .values import BoolType, LoadError, Schema, Type, conforms, domain_iter, render_value
 
 
 @_node
@@ -165,8 +165,6 @@ def instance_label(name: str, params: tuple, values: tuple) -> str:
 def expand_events(template: EventTemplate, schema: Schema, subst_body) -> EventSet:
     """One EventSpec per element of the Cartesian product of the parameter
     domains, in declaration order; labels carry the parameter values."""
-    from .values import conforms, domain_iter
-
     for pname, _ptype, _vals in template.params:
         if pname in schema.index:
             raise LoadError(

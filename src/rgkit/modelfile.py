@@ -22,6 +22,8 @@ from typing import Any
 from . import bpel as bp
 from .adapters import (
     ADAPTERS,
+    IMP_ADAPTER,
+    AdapterContext,
     Await,
     Basic,
     Cond,
@@ -89,7 +91,7 @@ from .exprs import (
     Var,
     render_expr,
 )
-from .relations import RGSpec, RelDesc, RelRule, StateSet
+from .relations import RGSpec, RelDesc, RelRule, StateSet, full_rel, univ_rel
 from .semantics import Ctx
 from .values import (
     BoolType,
@@ -163,8 +165,6 @@ class ModelFile:
     source_order: list[tuple[str, str]] = field(default_factory=list)
 
     def ctx(self) -> Ctx:
-        from .adapters import AdapterContext
-
         return Ctx(AdapterContext(self.schema), ADAPTERS[self.adapter_name])
 
 
@@ -788,13 +788,9 @@ class Parser:
     def _parse_rel(self, schema: Schema) -> RelDesc:
         if self.at("UNIV"):
             self.next()
-            from .relations import univ_rel
-
             return univ_rel(schema)
         if self.at("FULL"):
             self.next()
-            from .relations import full_rel
-
             return full_rel(schema)
         includes_identity = False
         rules = []
@@ -1034,8 +1030,6 @@ class Parser:
             else:
                 raise self.err(f"unexpected section {self.peek().text!r}")
         schema = bp.make_bpel_schema(store, list(links), tick_max)
-        from .adapters import AdapterContext, IMP_ADAPTER
-
         bctx = bp.BpelCtx(Ctx(AdapterContext(schema), IMP_ADAPTER), links)
         bf = BpelFile(name, bctx, store, links, tick_max)
         for aname, t, a in acts:

@@ -21,10 +21,10 @@ from .exprs import (
     Cmp,
     Expr,
     Lit,
+    NotE,
     Var,
     check_expr,
     compile_expr,
-    eval_expr,
     free_vars,
     render_expr,
 )
@@ -97,8 +97,6 @@ def intersect(a: StateSet, b: StateSet) -> StateSet:
 
 def complement(a: StateSet) -> StateSet:
     if a.expr is not None:
-        from .exprs import NotE
-
         return StateSet(a.schema, NotE(a.expr))
     fa = a.holds
     return StateSet(a.schema, native=lambda s: not fa(s), name=f"(NOT {a.name})")
@@ -302,7 +300,7 @@ def solve_states(
             elif isinstance(c.b, Var) and c.b.name in schema.index and _closed(c.a):
                 var, rhs = c.b.name, c.a
             if var is not None and var not in pinned:
-                pinned[var] = eval_expr(rhs, schema, schema.initial_state())
+                pinned[var] = compile_expr(rhs, schema)(schema.initial_state(), [])
 
     mentioned = sorted(
         v for v in free_vars(pre.expr) if v in schema.index and v not in pinned

@@ -9,9 +9,9 @@ from rgkit.semantics import Ctx
 from rgkit.values import IntType, LoadError, Schema
 
 
-def mk(links=("l1", "l2"), tick_max=3):
+def mk(links=("l1", "l2"), tick_max=3, store=("x", "y")):
     schema = bp.make_bpel_schema(
-        [("x", IntType(0, 3), 0), ("y", IntType(0, 3), 0)], list(links), tick_max
+        [(v, IntType(0, 3), 0) for v in store], list(links), tick_max
     )
     return bp.BpelCtx(Ctx(AdapterContext(schema), IMP_ADAPTER), tuple(links))
 
@@ -67,6 +67,57 @@ def test_fire_sources():
     assert bctx.schema.get(bp.fire_sources(bctx, src, s), "links") == (True, False)
     both = (("l1", Lit(True)), ("l2", Lit(False)))
     assert bctx.schema.get(bp.fire_sources(bctx, both, s), "links") == (True, False)
+
+
+X_IS_1 = Cmp("=", Var("x"), Lit(1))
+
+
+def test_explicit_join_condition_reads_the_state():
+    bctx = mk()
+    act = bp.Empty(bp.FlowEle((X_IS_1, ("l1", "l2")), None))
+    fired = with_links(bctx.schema.initial_state(), bctx, l1=True, l2=True)
+    s1 = bctx.schema.set(fired, "x", 1)
+    assert not bp.targets_sat(bctx, act.fe, fired)  # every link fired, x = 0
+    assert bp.bpel_step(bctx, act, fired) == []
+    assert bp.targets_sat(bctx, act.fe, s1)
+    assert bp.bpel_step(bctx, act, s1) == [(bp.ACT_FIN, s1)]
+    for s in (fired, s1):
+        assert bp.check_bisim(bctx, act, s, env_rel=tick_rely(bctx)).passed
+
+
+def test_false_transition_condition_leaves_its_link_unfired():
+    bctx = mk()
+    src = (("l1", X_IS_1), ("l2", Lit(True)))
+    s0 = bctx.schema.initial_state()
+    assert bctx.schema.get(bp.fire_sources(bctx, src, s0), "links") == (False, True)
+    s1 = bctx.schema.set(s0, "x", 1)
+    assert bctx.schema.get(bp.fire_sources(bctx, src, s1), "links") == (True, True)
+
+
+GUARD_SITES = {
+    "join": lambda g: bp.Empty(bp.FlowEle((g, ("l1",)), None)),
+    "transition": lambda g: bp.Empty(bp.FlowEle(None, (("l2", g),))),
+    "if": lambda g: bp.AIf(g, bp.Empty(bp.EMPTY_FE), bp.Reply(bp.EMPTY_FE, "svc", "Port", "op")),
+    "while": lambda g: bp.AWhile(g, bp.Empty(bp.EMPTY_FE)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(GUARD_SITES))
+def test_guard_cache_is_per_schema(site):
+    """One activity node stepped under two schemas that put `x` at
+    different indices reads `x` where each schema puts it."""
+    xy, yx = mk(store=("x", "y")), mk(store=("y", "x"))
+    s = with_links(xy.schema.state(x=1), xy, l1=True)  # x = 0 under yx
+
+    def fresh(bctx):  # new nodes, so nothing compiled is cached on them
+        return bp.bpel_step(bctx, GUARD_SITES[site](Cmp("=", Var("x"), Lit(1))), s)
+
+    want_xy, want_yx = fresh(xy), fresh(yx)
+    assert want_xy != want_yx
+    act = GUARD_SITES[site](X_IS_1)
+    assert bp.bpel_step(xy, act, s) == want_xy
+    assert bp.bpel_step(yx, act, s) == want_yx
+    assert bp.bpel_step(xy, act, s) == want_xy
 
 
 def test_invoke_successor_count():

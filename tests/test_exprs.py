@@ -1,22 +1,31 @@
-import pytest
-from hypothesis import given, strategies as st
+import dataclasses
+import typing
 
+import pytest
+from hypothesis import example, given, strategies as st
+
+from expr_oracle import eval_expr
+from rgkit import exprs
 from rgkit.exprs import (
     AppendE,
     Arith,
     BoolOp,
     Cmp,
     CondE,
+    ContainsE,
     ExistsLt,
     Field,
+    FieldDyn,
     ForallLt,
     HeadE,
     Index,
+    IsSome,
     Len,
     Lit,
     MkRec,
     MkSeq,
     MkSome,
+    Neg,
     NoneLit,
     NotE,
     RecWith,
@@ -28,7 +37,6 @@ from rgkit.exprs import (
     Var,
     check_expr,
     compile_expr,
-    eval_expr,
     render_expr,
 )
 from rgkit.values import (
@@ -44,7 +52,7 @@ from rgkit.values import (
 
 
 def ev(e, schema, s):
-    return eval_expr(e, schema, s)
+    return compile_expr(e, schema)(s, [])
 
 
 def test_arithmetic_identities(xschema):
@@ -90,8 +98,6 @@ def test_sequence_ops(xschema):
 
 
 def test_record_and_option():
-    from rgkit.exprs import IsSome
-
     rec_t = RecType((("a", IntType(0, 5)), ("b", BoolType())))
     schema = Schema([("r", rec_t, (1, True)), ("o", OptType(IntType(0, 5)), None)])
     s = schema.initial_state()
@@ -109,8 +115,6 @@ def test_dynamic_record_access():
     rec_t = RecType((("t1", IntType(0, 5)), ("t2", IntType(0, 5))))
     schema = Schema([("m", rec_t, (1, 2)), ("k", SymType(("t1", "t2")), "t2")])
     s = schema.initial_state()
-    from rgkit.exprs import FieldDyn
-
     assert ev(FieldDyn(Var("m"), Var("k")), schema, s) == 2
     assert ev(RecWithDyn(Var("m"), Var("k"), Lit(5)), schema, s) == (1, 5)
 
@@ -152,10 +156,121 @@ def test_compiled_agrees_with_interpreter(x, flag):
 
 @given(x=st.integers(0, 3), flag=st.booleans())
 def test_eval_is_pure(x, flag):
+    """A compiled expression gives the same value on every call and
+    leaves the env list it is handed as it was."""
     schema = Schema([("x", IntType(0, 3), 0), ("flag", BoolType(), False)])
     s = schema.state(x=x, flag=flag)
     for e in EXPRS:
-        assert eval_expr(e, schema, s) == eval_expr(e, schema, s)
+        f, env = compile_expr(e, schema), []
+        assert f(s, env) == f(s, env)
+        assert env == []
+
+
+# Every node class, with each totalised edge case and every operator,
+# against the test oracle.  Element, field and option defaults are not 0,
+# so a wrong default shows.
+_ELEM = IntType(1, 3)
+_REC = RecType((("a", _ELEM), ("b", _ELEM)))
+ORACLE_SCHEMA = Schema([
+    ("x", IntType(0, 3), 0),
+    ("flag", BoolType(), False),
+    ("xs", SeqType(_ELEM, 3), ()),
+    ("r", _REC, (1, 1)),
+    ("k", SymType(("a", "b")), "a"),
+    ("o", OptType(IntType(2, 3)), None),
+    ("rs", SeqType(_REC, 2), ()),
+])
+x, flag, xs, r, k, o, rs = (Var(n) for n in ORACLE_SCHEMA.names)
+PAIR = MkSeq((Lit(1), Lit(2)))
+ARITH_OPS = ("+", "-", "*", "DIV", "MOD", "^")
+CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
+BOOL_OPS = ("AND", "OR", "IMPLIES")
+
+ORACLE_EXPRS = [
+    Lit(2),
+    Lit(True),
+    Lit("b", SymType(("a", "b"))),
+    x,
+    Field(r, "b"),
+    FieldDyn(r, k),
+    Field(HeadE(rs), "a"),  # HEAD [] of records: the record default
+    Index(xs, x),  # out of range whenever x >= LEN(xs)
+    Index(xs, Neg(Lit(1))),
+    Index(PAIR, Lit(2)),
+    Len(xs),
+    AppendE(xs, x),
+    UpdateE(xs, x, Lit(3)),  # out of range whenever x >= LEN(xs)
+    UpdateE(PAIR, Lit(-1), Lit(9)),
+    RemoveE(xs, x),  # x = 0 is never an element
+    RemoveE(PAIR, Lit(3)),
+    HeadE(xs),
+    HeadE(TailE(MkSeq((Lit(4),)))),  # always empty
+    TailE(xs),
+    ContainsE(xs, x),
+    RecWith(r, "a", x),
+    RecWithDyn(r, k, Lit(3)),
+    MkSeq((x, Lit(1))),
+    MkRec((("a", x), ("b", Lit(2)))),
+    MkSome(x),
+    NoneLit(),
+    IsSome(o),
+    TheOpt(o),  # THE NONE: the inner default
+    TheOpt(NoneLit()),
+    *(Arith(op, x, Lit(2)) for op in ARITH_OPS),
+    Arith("DIV", Lit(5), x),  # by 0 when x = 0
+    Arith("MOD", Lit(5), x),
+    Arith("DIV", Neg(x), Lit(2)),  # mixed signs
+    Arith("MOD", Neg(x), Lit(2)),
+    Arith("^", Lit(2), Neg(x)),
+    *(Cmp(op, x, Lit(2)) for op in CMP_OPS),
+    Cmp("=", r, MkRec((("a", Lit(1)), ("b", Lit(1))))),
+    Cmp("!=", o, NoneLit()),
+    *(BoolOp(op, flag, Cmp("<", x, Lit(2))) for op in BOOL_OPS),
+    NotE(flag),
+    CondE(flag, x, Len(xs)),
+    ForallLt("i", Len(xs), ExistsLt("j", Lit(4), Cmp("=", Index(xs, Var("i")), Var("j")))),
+    ExistsLt("x", Lit(2), Cmp("=", Var("x"), Lit(1))),  # binder shadows a state variable
+]
+
+ORACLE_STATES = st.builds(
+    lambda x, flag, xs, r, k, o, rs: ORACLE_SCHEMA.state(x=x, flag=flag, xs=xs, r=r, k=k, o=o, rs=rs),
+    st.integers(0, 3),
+    st.booleans(),
+    st.lists(st.integers(1, 3), max_size=3).map(tuple),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    st.sampled_from(("a", "b")),
+    st.none() | st.integers(2, 3).map(lambda v: (v,)),
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=2).map(tuple),
+)
+
+
+NODE_CLASSES = typing.get_args(exprs.Expr)
+
+
+def _subterms(e):
+    yield e
+    for f in dataclasses.fields(e):
+        v = getattr(e, f.name)
+        for item in v if isinstance(v, tuple) else (v,):
+            item = item[1] if isinstance(item, tuple) else item  # MkRec fields
+            if isinstance(item, NODE_CLASSES):
+                yield from _subterms(item)
+
+
+def test_oracle_exprs_cover_every_node_class_and_operator():
+    subterms = [t for e in ORACLE_EXPRS for t in _subterms(e)]
+    assert {type(t) for t in subterms} == set(NODE_CLASSES)
+    for cls, ops in ((Arith, ARITH_OPS), (Cmp, CMP_OPS), (BoolOp, BOOL_OPS)):
+        assert {t.op for t in subterms if isinstance(t, cls)} == set(ops)
+
+
+@given(s=ORACLE_STATES)
+@example(s=ORACLE_SCHEMA.initial_state())
+def test_compiled_agrees_with_oracle_on_every_node(s):
+    for e in ORACLE_EXPRS:
+        check_expr(e, ORACLE_SCHEMA)
+        got = compile_expr(e, ORACLE_SCHEMA)(s, [])
+        assert repr(got) == repr(eval_expr(e, ORACLE_SCHEMA, s)), render_expr(e)
 
 
 def test_render_parses_back(xschema):

@@ -88,9 +88,9 @@ def test_expression_precedence():
     from rgkit.values import IntType, Schema
 
     schema = Schema([("x", IntType(0, 1), 0)])
-    from rgkit.exprs import eval_expr
+    from rgkit.exprs import compile_expr
 
-    assert eval_expr(e, schema, schema.initial_state()) is True
+    assert compile_expr(e, schema)(schema.initial_state(), []) is True
     # canonical render reparses to the same tree
     assert Parser(render_expr(e)).parse_expr() == e
 

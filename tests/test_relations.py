@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from rgkit.exprs import Arith, Cmp, Lit, Var
+from rgkit.exprs import Arith, BoolOp, Cmp, Lit, Var
 from rgkit.relations import (
     RelDesc,
     RelRule,
@@ -81,6 +81,28 @@ def test_solve_states_equality_binding():
     s = schema2()
     pre = StateSet(s, Cmp("=", Var("x"), Lit(2)))
     assert solve_states(pre) == [s.state(x=2)]
+
+
+def test_solve_states_computed_pin():
+    s = schema2()
+    pre = StateSet(s, Cmp("=", Var("x"), Arith("+", Lit(1), Lit(1))))
+    assert solve_states(pre) == [s.state(x=2)]
+
+
+def test_solve_states_reversed_pin():
+    s = schema2()
+    assert solve_states(StateSet(s, Cmp("=", Lit(2), Var("x")))) == [s.state(x=2)]
+
+
+def test_solve_states_pin_outside_domain():
+    s = schema2()
+    assert solve_states(StateSet(s, Cmp("=", Var("x"), Lit(3)))) == []
+
+
+def test_solve_states_conflicting_pins():
+    s = schema2()
+    pre = StateSet(s, BoolOp("AND", Cmp("=", Var("x"), Lit(1)), Cmp("=", Var("x"), Lit(2))))
+    assert solve_states(pre) == []
 
 
 def test_solve_states_enumerates_mentioned():
