@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from .exprs import Cmp, Expr, Lit, Var, _memo, _node, render_expr, substitute
+from .exprs import Cmp, Expr, Lit, Var, _compiled, _memo, _node, render_expr, substitute
 from .relations import RGSpec, StateSet, compile_assigns, check_assigns, solve_states, true_set
 from .values import BoolType, DomainOverflow, IntType, LoadError, Schema
 from .verdicts import Verdict, diag, fail, ok
@@ -106,13 +106,8 @@ def check_program(schema: Schema, p: ImpProgram | None, in_await: bool = False) 
         raise LoadError(f"not an IMP program: {p!r}")
 
 
-def _basic_apply(schema: Schema, p: Basic) -> Callable[[tuple], tuple]:
-    try:
-        return object.__getattribute__(p, "_apply")
-    except AttributeError:
-        fn = compile_assigns(schema, p.assigns)
-        object.__setattr__(p, "_apply", fn)
-        return fn
+def _compile_basic(p: Basic, schema: Schema) -> Callable[[tuple], tuple]:
+    return compile_assigns(schema, p.assigns)
 
 
 def imp_step(ctx: AdapterContext, p: ImpProgram, s: tuple) -> list[tuple[Any, tuple]]:
@@ -124,7 +119,7 @@ def imp_step(ctx: AdapterContext, p: ImpProgram, s: tuple) -> list[tuple[Any, tu
     if p is None:
         return []
     if isinstance(p, Basic):
-        return [(None, _basic_apply(schema, p)(s))]
+        return [(None, _compiled(p, "_apply", schema, _compile_basic)(s))]
     if isinstance(p, PSeq):
         out = []
         for q, t in imp_step(ctx, p.a, s):
@@ -161,8 +156,8 @@ class _Loop(Exception):
 
 def _runner(schema: Schema, p) -> Callable[[tuple], tuple | None]:
     """IMP program `p` compiled to a big-step closure `s -> t | None`, where
-    None means an inner Await blocked; cached on the node as `_basic_apply`
-    caches `_apply`.  A child is compiled when execution first reaches it
+    None means an inner Await blocked; cached per node and schema by
+    `exprs._compiled`.  A child is compiled when execution first reaches it
     (the `x or (x := ...)` cells), so a node `imp_step` rejects raises only
     where `imp_step` would.  Guards are looked up at each call, as
     `imp_step` does, so a patched `StateSet.holds` sees every test.  The
@@ -170,12 +165,12 @@ def _runner(schema: Schema, p) -> Callable[[tuple], tuple | None]:
     `imp_step` has no step for it, and finished everywhere else."""
     if p is None:
         return _terminal
-    try:
-        return object.__getattribute__(p, "_run")
-    except AttributeError:
-        pass
+    return _compiled(p, "_run", schema, _compile_run)
+
+
+def _compile_run(p, schema: Schema) -> Callable[[tuple], tuple | None]:
     if isinstance(p, Basic):
-        run = _basic_apply(schema, p)
+        run = _compiled(p, "_apply", schema, _compile_basic)
     elif isinstance(p, PSeq):
         ra, rb = (_stuck if p.a is None else None), None
 
@@ -227,7 +222,6 @@ def _runner(schema: Schema, p) -> Callable[[tuple], tuple | None]:
 
     else:
         raise LoadError(f"not an IMP program: {p!r}")
-    object.__setattr__(p, "_run", run)
     return run
 
 

@@ -46,6 +46,7 @@ from .exprs import (
     NotE,
     RecWith,
     Var,
+    _compiled,
     _node,
     check_expr,
     compile_expr,
@@ -337,32 +338,22 @@ def fire_sources(bctx: BpelCtx, sources, s: tuple) -> tuple:
     return schema.set(s, bctx.links_var, tuple(rec))
 
 
-def _compiled(node, attr: str, schema: Schema, build):
-    """`build()`, cached on the syntax node under `attr` together with the
-    schema it was compiled for.  A node stepped under another schema is
-    compiled afresh: compiled code reads variables at the schema's
-    indices."""
-    cached = node.__dict__.get(attr)
-    if cached is None or cached[0] is not schema:
-        cached = (schema, build())
-        object.__setattr__(node, attr, cached)
-    return cached[1]
-
-
 def _holds(bctx: BpelCtx, e: Expr, s: tuple) -> bool:
     """The guard `e` (a join, transition, If or While condition) in `s`,
-    compiled once per expression node by `_compiled`."""
-    schema = bctx.schema
-    return bool(_compiled(e, "_guard", schema, lambda: compile_expr(e, schema))(s, []))
+    compiled once per expression node and schema by `exprs._compiled`."""
+    return bool(_compiled(e, "_guard", bctx.schema, compile_expr)(s, []))
+
+
+def _compile_spec(node, schema: Schema):
+    return compile_assigns(schema, node.spec)
 
 
 def _apply_spec(bctx: BpelCtx, node, s: tuple) -> tuple:
     """`node.spec` applied to `s`, compiled once per activity or handler
-    node by `_compiled`."""
+    node and schema by `exprs._compiled`."""
     if not node.spec:
         return s
-    schema = bctx.schema
-    return _compiled(node, "_apply", schema, lambda: compile_assigns(schema, node.spec))(s)
+    return _compiled(node, "_apply", bctx.schema, _compile_spec)(s)
 
 
 def handler_step(bctx: BpelCtx, h: EventHandler, s: tuple) -> list[tuple[Activity, tuple]]:

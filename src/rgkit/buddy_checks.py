@@ -27,7 +27,7 @@ from .buddy import (
     free_post,
     partition_theorem_oracle,
 )
-from .semantics import build_graph, graph_diag
+from .semantics import build_graph, first_bad_edge, first_bad_node, graph_diag
 from .values import LoadError
 from .verdicts import Verdict, fail, ok
 
@@ -66,154 +66,90 @@ def analyze_kernel(model: BuddyModel, budget: int = 1_000_000) -> KernelAnalysis
     frag = model.invariants["no_partner_fragmentation"]
     flv = model.invariants["free_list_valid"]
 
-    states, labels = graph.states, graph.labels
-    node_spec, node_state = graph.node_spec, graph.node_state
+    states, labels, node_state = graph.states, graph.labels, graph.node_state
 
-    def state_witness(idx: int) -> dict:
-        return {"state": schema.state_to_dict(states[node_state[idx]])}
+    def state_of(idx: int) -> dict:
+        return schema.state_to_dict(states[node_state[idx]])
 
-    # Equal states share one state id, so the predicates are memoised by
-    # state id (and spec id); the scans keep node and edge order, so the
-    # first failure and its witness are those of a full scan.
-    inv_ok: set = set()
-    bad = None
-    for i, si in enumerate(node_state):
-        if si not in inv_ok:
-            if not inv(states[si]):
-                bad = i
-                break
-            inv_ok.add(si)
+    # The scans keep node and edge order, so the first failure and its
+    # witness are those of a scan that asks at every node and edge.
+    bad, _ = first_bad_node(graph, inv)
     verdicts.append(
         (
             "structural-invariants",
             ok("kernel-inv", node_count=graph.node_count)
             if bad is None
-            else fail("kernel-inv", "invariant-violated", witness=state_witness(bad)),
+            else fail("kernel-inv", "invariant-violated", witness={"state": state_of(bad)}),
         )
     )
 
-    bad = None
-    quiescent_count = 0
-    is_quiescent: dict = {}  # state id -> quiescent(state)
-    for i, si in enumerate(node_state):
-        q = is_quiescent.get(si)
-        if q is None:
-            s = states[si]
-            q = is_quiescent[si] = quiescent(s)
-            if q and (not frag(s) or not flv(s)):
-                quiescent_count += 1
-                bad = i
-                break
-        if q:
-            quiescent_count += 1
+    def quiescent_ok(s: tuple):
+        return (frag(s) and flv(s) and "quiescent") if quiescent(s) else "busy"
+
+    bad, counts = first_bad_node(graph, quiescent_ok)
     verdicts.append(
         (
             "quiescent-properties",
-            ok("kernel-quiescent", detail={"quiescent_states": quiescent_count})
+            ok("kernel-quiescent", detail={"quiescent_states": counts["quiescent"]})
             if bad is None
-            else fail("kernel-quiescent", "quiescent-property-violated", witness=state_witness(bad)),
+            else fail("kernel-quiescent", "quiescent-property-violated", witness={"state": state_of(bad)}),
         )
     )
 
-    guar_bad = None
-    checked_edges = 0
-    in_guar = {t: set() for t in model.guarantees}  # thread -> pre << 32 | post state ids
-    # label id -> (its thread's guarantee, the pairs already found in it)
-    label_guar = [(model.guarantees.get(lbl.k), in_guar.get(lbl.k)) for lbl in labels]
-    for li, src, dst in zip(graph.comp_label, graph.comp_src, graph.comp_dst):
-        g, seen = label_guar[li]
-        if g is None:
-            continue
-        checked_edges += 1
-        si, ri = node_state[src], node_state[dst]
-        key = si << 32 | ri
-        if key not in seen:
-            if not g.contains(states[si], states[ri]):
-                guar_bad = (labels[li], src, dst)
-                break
-            seen.add(key)
-    verdicts.append(
-        (
-            "thread-guarantees",
-            ok("kernel-guarantee", detail={"thread_steps": checked_edges})
-            if guar_bad is None
-            else fail(
-                "kernel-guarantee",
-                "step-outside-guarantee",
-                witness={
-                    "thread": guar_bad[0].k,
-                    "label": guar_bad[0].render(),
-                    "pre": schema.state_to_dict(states[node_state[guar_bad[1]]]),
-                    "post": schema.state_to_dict(states[node_state[guar_bad[2]]]),
-                },
-            ),
-        )
-    )
+    guars = {t: g.contains for t, g in model.guarantees.items()}
+    bad, counts = first_bad_edge(graph, [guars.get(lbl.k) for lbl in labels])
+    if bad is None:
+        v = ok("kernel-guarantee", detail={"thread_steps": sum(counts.values())})
+    else:
+        src, lbl, dst = graph.comp_edges[bad]
+        v = fail("kernel-guarantee", "step-outside-guarantee", witness={
+            "thread": lbl.k, "label": lbl.render(), "pre": state_of(src), "post": state_of(dst)})
+    verdicts.append(("thread-guarantees", v))
 
-    posts = {}
+    posts = {}  # (thread, op, size, timeout) -> postcondition
     for t in model.dims.threads:
         for sz, tmo in model.alloc_instances[t]:
             posts[(t, "alloc", sz, tmo)] = alloc_post(layout, t, sz, tmo)
-        posts[(t, "free")] = free_post(layout, t)
+        posts[(t, "free", None, None)] = free_post(layout, t)
+
+    def service(t: str, s: tuple) -> tuple:
+        """The (op, size, timeout) of thread t's last service in `s`."""
+        op = layout.lvar(s, "cur_op", t)
+        if op == "alloc":
+            return op, layout.lvar(s, "cur_sz", t), layout.lvar(s, "cur_tmo", t)
+        return op, None, None
+
+    def post_test(t: str):
+        """Thread t's test of a step that completes a service: the
+        service's postcondition at the step's source state."""
+
+        def test(s: tuple, _: tuple):
+            op, sz, tmo = service(t, s)
+            if op == "none" or tmo == FOREVER:  # FOREVER: invariants only
+                return "skip"
+            return posts[(t, op, sz, tmo)].holds(s) and op
+
+        return test
 
     # A service completes exactly on the step that returns the thread's
     # event system to its iteration head; the step's source state still
     # carries ret/mempoolalloc_ret and the ghost instance markers.
     heads = {t: model.thread_systems[t] for t in model.dims.threads}
-    label_thread = [lbl.k if lbl.k in heads else None for lbl in labels]
-    at_head: dict = {}  # spec id -> threads whose sub-system is at its head
+    post_tests = {t: post_test(t) for t in heads}
 
-    def threads_at_head(p: int) -> frozenset:
-        out = at_head.get(p)
-        if out is None:
-            spec = graph.specs[p]
-            out = at_head[p] = frozenset(t for t, h in heads.items() if spec.get(t) == h)
-        return out
+    def returns_to_head(li: int, p: int, q: int) -> bool:
+        t, specs = labels[li].k, graph.specs
+        return specs[q].get(t) == heads[t] != specs[p].get(t)
 
-    post_bad = None
-    head_hits = {"alloc": 0, "free": 0}
-    for li, src, dst in zip(graph.comp_label, graph.comp_src, graph.comp_dst):
-        t = label_thread[li]
-        if t is None:
-            continue
-        if t not in threads_at_head(node_spec[dst]) or t in threads_at_head(node_spec[src]):
-            continue
-        s = states[node_state[src]]
-        op = layout.lvar(s, "cur_op", t)
-        if op == "none":
-            continue
-        if op == "alloc":
-            sz = layout.lvar(s, "cur_sz", t)
-            tmo = layout.lvar(s, "cur_tmo", t)
-            if tmo == FOREVER:
-                continue  # non-termination mode: invariants only
-            head_hits["alloc"] += 1
-            if not posts[(t, "alloc", sz, tmo)].holds(s):
-                post_bad = (t, op, sz, tmo, src)
-                break
-        else:
-            head_hits["free"] += 1
-            if not posts[(t, "free")].holds(s):
-                post_bad = (t, op, None, None, src)
-                break
-    verdicts.append(
-        (
-            "service-postconditions",
-            ok("kernel-post", detail=dict(head_hits))
-            if post_bad is None
-            else fail(
-                "kernel-post",
-                "postcondition-violated",
-                witness={
-                    "thread": post_bad[0],
-                    "service": post_bad[1],
-                    "size": post_bad[2],
-                    "timeout": post_bad[3],
-                    **state_witness(post_bad[4]),
-                },
-            ),
-        )
-    )
+    bad, counts = first_bad_edge(graph, [post_tests.get(lbl.k) for lbl in labels], returns_to_head)
+    if bad is None:
+        v = ok("kernel-post", detail={"alloc": counts["alloc"], "free": counts["free"]})
+    else:
+        src, lbl, _ = graph.comp_edges[bad]
+        op, sz, tmo = service(lbl.k, states[node_state[src]])
+        v = fail("kernel-post", "postcondition-violated", witness={
+            "thread": lbl.k, "service": op, "size": sz, "timeout": tmo, "state": state_of(src)})
+    verdicts.append(("service-postconditions", v))
 
     return KernelAnalysis(model, graph.node_count, verdicts)
 

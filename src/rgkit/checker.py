@@ -45,7 +45,7 @@ from .relations import (
     true_set,
     univ_rel,
 )
-from .semantics import ConfigGraph, Ctx, build_graph, graph_diag
+from .semantics import ConfigGraph, Ctx, build_graph, first_bad_edge, first_bad_node, graph_diag
 from .verdicts import Verdict, diag, fail, ok
 
 
@@ -124,51 +124,38 @@ def check_validity(
     except Exception as e:  # noqa: BLE001 - converted to typed diagnostics
         return graph_diag(check, e)
 
-    # Equal states share one state id, so guar is asked once per pair of
-    # state ids and post once per state id; both scans keep edge and node
-    # order, so the first violation and its witness are those of a full scan.
-    states, node_spec, node_state = graph.states, graph.node_spec, graph.node_state
-    in_guar: set = set()  # s id << 32 | t id of pairs already found in guar
-    for e, (src, dst) in enumerate(zip(graph.comp_src, graph.comp_dst)):
-        si, ti = node_state[src], node_state[dst]
-        key = si << 32 | ti
-        if key in in_guar:
-            continue
-        s, t = states[si], states[ti]
-        if not spec.guar.contains(s, t):
-            lbl = graph.labels[graph.comp_label[e]]
-            w = _witness_path(ctx, graph, src, extra=(graph.nodes[dst], lbl))
-            return fail(
-                check,
-                "guar-violation",
-                witness={
-                    "computation": w.render(ctx.schema),
-                    "pair": [ctx.schema.state_to_dict(s), ctx.schema.state_to_dict(t)],
-                    "label": lbl.render(),
-                },
-                node_count=graph.node_count,
-                detail={"_computation": w},
-            )
-        in_guar.add(key)
+    # Both scans keep edge and node order, so the first violation and its
+    # witness are those of a scan that asks at every edge and node.
+    bad, _ = first_bad_edge(graph, [spec.guar.contains] * len(graph.labels))
+    if bad is not None:
+        src, lbl, dst = graph.comp_edges[bad]
+        pre, post = graph.nodes[src], graph.nodes[dst]
+        w = _witness_path(ctx, graph, src, extra=(post, lbl))
+        return fail(
+            check,
+            "guar-violation",
+            witness={
+                "computation": w.render(ctx.schema),
+                "pair": [ctx.schema.state_to_dict(pre[1]), ctx.schema.state_to_dict(post[1])],
+                "label": lbl.render(),
+            },
+            node_count=graph.node_count,
+            detail={"_computation": w},
+        )
     finished = [_conf_finished(spec_c) for spec_c in graph.specs]  # spec id -> finished
-    in_post: set = set()  # state ids found in post
-    for idx, (p, si) in enumerate(zip(node_spec, node_state)):
-        if not finished[p] or si in in_post:
-            continue
-        s = states[si]
-        if not spec.post.holds(s):
-            w = _witness_path(ctx, graph, idx)
-            return fail(
-                check,
-                "post-violation",
-                witness={
-                    "computation": w.render(ctx.schema),
-                    "final_state": ctx.schema.state_to_dict(s),
-                },
-                node_count=graph.node_count,
-                detail={"_computation": w},
-            )
-        in_post.add(si)
+    bad, _ = first_bad_node(graph, spec.post.holds, finished)
+    if bad is not None:
+        w = _witness_path(ctx, graph, bad)
+        return fail(
+            check,
+            "post-violation",
+            witness={
+                "computation": w.render(ctx.schema),
+                "final_state": ctx.schema.state_to_dict(graph.nodes[bad][1]),
+            },
+            node_count=graph.node_count,
+            detail={"_computation": w},
+        )
     return ok(check, node_count=graph.node_count)
 
 
@@ -683,15 +670,7 @@ def check_invariant(
     premises["stable(inv,rely)"] = "PASS" if st_rely else "FAIL"
     premises["stable(inv,guar)"] = "PASS" if st_guar else "FAIL"
 
-    # inv is asked once per state id, in node order, so the first bad node
-    # and its witness are those of a scan that asks at every node.
-    direct_bad, inv_ok = None, set()  # state ids where inv holds
-    for idx, si in enumerate(graph.node_state):
-        if si not in inv_ok:
-            if not inv.holds(graph.states[si]):
-                direct_bad = idx
-                break
-            inv_ok.add(si)
+    direct_bad, _ = first_bad_node(graph, inv.holds)
     premises["direct-reachability"] = "FAIL" if direct_bad is not None else "PASS"
 
     all_premises = all(

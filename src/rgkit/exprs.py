@@ -65,6 +65,18 @@ def _memo(node) -> dict:
         return memo
 
 
+def _compiled(node, attr: str, schema, build):
+    """`build(node, schema)`, cached on the syntax node under `attr`
+    together with the schema it was compiled for.  A node used under
+    another schema is compiled afresh: compiled code reads variables at
+    the schema's indices.  Every language caches compiled code this way."""
+    cached = node.__dict__.get(attr)
+    if cached is None or cached[0] is not schema:
+        cached = (schema, build(node, schema))
+        object.__setattr__(node, attr, cached)
+    return cached[1]
+
+
 @_node
 class Lit:
     value: Any

@@ -6,15 +6,19 @@ termination in a single labelled step; triggered events lift the adapter's
 program steps; sequence, choice, join and iteration compose structurally.
 `build_graph` closes a root configuration under component steps and
 environment steps drawn from a constructive rely, producing the finite
-quotient every semantic check in the toolkit works on.
+quotient every semantic check in the toolkit works on.  The checks scan
+it through `first_bad_node` and `first_bad_edge`, which find the first
+node or comp edge, in graph order, that fails a test, asking the test
+once per state id or pair of state ids.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
-from collections.abc import Sequence
+from collections import Counter, defaultdict
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Any
 
 from .adapters import AdapterContext, AwaitDivergence, ProgramAdapter, terminal_states
@@ -395,6 +399,74 @@ class ConfigGraph:
             idx = p
         out.reverse()
         return out
+
+
+def first_bad_node(
+    graph: ConfigGraph, test: Callable[[tuple], Any], finished: Sequence[bool] | None = None
+) -> tuple[int | None, Counter | None]:
+    """The first node, in graph order, whose state fails `test`.
+
+    `test(state)` is asked once per state id, and a falsy value is a
+    failure.  With `finished`, a flag per spec id, only the nodes of
+    flagged specs are scanned.  Returns (the node's index, None), or
+    (None, a Counter of the test's values over the scanned nodes)."""
+    states, node_state = graph.states, graph.node_state
+
+    def scanned(column):
+        if finished is None:
+            return column
+        return compress(column, map(finished.__getitem__, graph.node_spec))
+
+    counts: Counter = Counter()
+    nodes_of = Counter(scanned(node_state))  # state id -> its scanned nodes, in node order
+    for si, n in nodes_of.items():
+        v = test(states[si])
+        if not v:  # the first node of the first failing state fails first
+            return next(i for i, sj in scanned(enumerate(node_state)) if sj == si), None
+        counts[v] += n
+    return None, counts
+
+
+def first_bad_edge(
+    graph: ConfigGraph,
+    tests_by_label: Sequence[Callable[[tuple, tuple], Any] | None],
+    edge_filter: Callable[[int, int, int], Any] | None = None,
+) -> tuple[int | None, Counter | None]:
+    """The first comp edge, in graph order, whose (pre, post) state pair
+    fails the test of its label.
+
+    `tests_by_label[label id]` is a test `(pre, post) -> value`, or None
+    to skip the label's edges.  Each distinct test is asked once per pair
+    of state ids, and a falsy value is a failure.  `edge_filter(label id,
+    pre spec id, post spec id)`, if given, is asked once per such triple,
+    and the edges where it is falsy are skipped.  Returns (the edge's
+    index, None), or (None, a Counter of the test's values over the
+    checked edges)."""
+    states, node_state, node_spec = graph.states, graph.node_state, graph.node_spec
+    memos: dict = {}  # test -> {pre state id << 32 | post state id: count cell of its value}
+    memo_of = [None if f is None else memos.setdefault(f, {}) for f in tests_by_label]
+    kept_of = [{} for _ in tests_by_label]  # label id -> {pre spec id << 32 | post spec id: filter}
+    cells: dict = {}  # test value -> [number of checked edges with that value]
+    for e, li, src, dst in zip(count(), graph.comp_label, graph.comp_src, graph.comp_dst):
+        memo = memo_of[li]
+        if memo is None:
+            continue
+        if edge_filter is not None:
+            kept, p, q = kept_of[li], node_spec[src], node_spec[dst]
+            f = kept.get(p << 32 | q)
+            if f is None:
+                f = kept[p << 32 | q] = edge_filter(li, p, q)
+            if not f:
+                continue
+        si, ti = node_state[src], node_state[dst]
+        cell = memo.get(si << 32 | ti)
+        if cell is None:
+            v = tests_by_label[li](states[si], states[ti])
+            if not v:
+                return e, None
+            cell = memo[si << 32 | ti] = cells.setdefault(v, [0])
+        cell[0] += 1
+    return None, Counter({v: cell[0] for v, cell in cells.items()})
 
 
 def build_graph(

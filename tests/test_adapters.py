@@ -52,6 +52,20 @@ def test_basic_single_assignment():
     assert imp_step(ctx(), p, s.state(x=0)) == [(None, s.state(x=1))]
 
 
+@pytest.mark.parametrize("run", [
+    lambda c, p, st: imp_step(c, p, st)[0][1],
+    lambda c, p, st: terminal_states(c, imp_step, p, st, where="body")[0],
+], ids=["imp_step", "terminal_states"])
+def test_compiled_code_is_per_schema(run):
+    """One IMP node run under two schemas that order the variables
+    differently writes `x` where each schema puts it."""
+    p = Basic((("x", Lit(1)),))
+    xy = Schema([("x", IntType(0, 1), 0), ("y", IntType(0, 1), 0)])
+    yx = Schema([("y", IntType(0, 1), 0), ("x", IntType(0, 1), 0)])
+    for sch in (xy, yx, xy):
+        assert run(AdapterContext(sch), p, sch.initial_state()) == sch.state(x=1)
+
+
 def test_while_false_guard_exits_unchanged():
     s = schema()
     p = While(xset("<", 0, s), Basic((("x", Lit(1)),)))

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from rgkit.buddy import (
@@ -300,12 +302,38 @@ def test_kernel_checks_report_first_failure_in_graph_order(monkeypatch):
     states = [s for _, s in g.nodes]
     to_dict = m.layout.schema.state_to_dict
     guarded = [(a, lbl, b) for a, lbl, b in g.comp_edges if lbl.k in m.guarantees]
+    heads, lvar = m.thread_systems, m.layout.lvar
+
+    def completes(a, lbl, b):  # returns thread lbl.k to its iteration head
+        t = lbl.k
+        return t in heads and g.nodes[b][0].get(t) == heads[t] != g.nodes[a][0].get(t)
+
+    # (thread, pre, post, op) of every step that completes a service
+    done = [(lbl.k, states[a], states[b], lvar(states[a], "cur_op", lbl.k))
+            for a, lbl, b in g.comp_edges if completes(a, lbl, b)]
+    asked = []
+
+    def counted(make):  # the postconditions `make` builds, recording each question
+        def build(layout, t, *args):
+            post = make(layout, t, *args)
+            return SimpleNamespace(holds=lambda s: asked.append((t, s)) or post.holds(s))
+        return build
+
+    monkeypatch.setattr(buddy_checks, "alloc_post", counted(buddy_checks.alloc_post))
+    monkeypatch.setattr(buddy_checks, "free_post", counted(buddy_checks.free_post))
     verdicts = dict(analyze_kernel(m).verdicts)
+    monkeypatch.undo()
     assert all(v.passed for v in verdicts.values())
     quiescent = m.invariants["quiescent"]
     assert verdicts["quiescent-properties"].detail == {
         "quiescent_states": sum(1 for s in states if quiescent(s))}
     assert verdicts["thread-guarantees"].detail == {"thread_steps": len(guarded)}
+    ops = [op for *_, op in done]
+    assert verdicts["service-postconditions"].detail == {
+        "alloc": ops.count("alloc"), "free": ops.count("free")} == {"alloc": 108, "free": 0}
+    # a postcondition is asked once per (thread, pre, post) triple, not per step
+    triples = {(t, s, r) for t, s, r, op in done if op != "none"}
+    assert len(asked) == len(triples) == 20
 
     # a quiescent state met at several nodes, the first after the root
     later = next(s for s in states[1:] if quiescent(s) and states.count(s) > 1)
@@ -328,17 +356,10 @@ def test_kernel_checks_report_first_failure_in_graph_order(monkeypatch):
         "thread": lbl.k, "label": lbl.render(), "pre": to_dict(pre), "post": to_dict(post)}
 
     # the first edge that returns a thread to its head after an alloc
-    heads = m.thread_systems
-
-    def completes_alloc(a, lbl, b):
-        t = lbl.k
-        return (t in heads and g.nodes[b][0].get(t) == heads[t] and g.nodes[a][0].get(t) != heads[t]
-                and m.layout.lvar(states[a], "cur_op", t) == "alloc")
-
-    a, lbl, _ = next(e for e in g.comp_edges if completes_alloc(*e))
+    a, lbl, _ = next(e for e in g.comp_edges
+                     if completes(*e) and lvar(states[e[0]], "cur_op", e[1].k) == "alloc")
     monkeypatch.setattr(buddy_checks, "alloc_post", lambda *args: RejectState(states[a]))
     verdict = dict(analyze_kernel(m).verdicts)["service-postconditions"]
-    lvar = m.layout.lvar
     assert verdict.failed and verdict.witness == {
         "thread": lbl.k, "service": "alloc", "size": lvar(states[a], "cur_sz", lbl.k),
         "timeout": lvar(states[a], "cur_tmo", lbl.k), "state": to_dict(states[a])}

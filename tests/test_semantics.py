@@ -1,12 +1,15 @@
+import contextlib
+import functools
 import glob
 import os
 from array import array
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS
 from rgkit.adapters import (
@@ -44,6 +47,8 @@ from rgkit.semantics import (
     _Tables,
     build_graph,
     dump_graph,
+    first_bad_edge,
+    first_bad_node,
     step_es,
     step_pes,
 )
@@ -618,3 +623,117 @@ def test_build_graph_steps_every_thread_before_adding_successors():
     ps = ParallelEventSystem((("k1", EsBasic(ev(schema))), ("k2", spin)))
     result = assert_same_outcome(ctx, ps, [schema.state(x=0)], identity_rel(schema), budget=1)
     assert result == (AtomDivergence, "atom-divergence in spin")
+
+
+@functools.cache
+def scan_graphs():
+    """The graph of every corpus case under each of its relations that
+    builds, and the small two-thread kernel's."""
+    graphs = []
+    for case in corpus_cases():
+        path, tname, rels = case.values
+        if rels is None:  # a BUDDY model; the two-thread kernel stands for them
+            continue
+        ctx, target, inits, relies = load_case(path, tname, rels)
+        for rely in relies:
+            with contextlib.suppress(AtomDivergence, AwaitDivergence, DomainOverflow):
+                graphs.append(build_graph(ctx, target, None, rely, init_states=inits))
+    m = two_thread_kernel()
+    graphs.append(build_graph(m.ctx, m.pes, None, m.rely, init_states=[m.initial_state()]))
+    return graphs
+
+
+class Asked:
+    """A test that answers from a table and records what it was asked."""
+
+    def __init__(self, answer):
+        self.answer, self.asked = answer, []
+
+    def __call__(self, *args):
+        self.asked.append(args)
+        return self.answer(*args)
+
+
+def reference_first_bad_node(graph, test, finished=None):
+    """`first_bad_node` as a plain scan that asks at every node."""
+    counts = Counter()
+    for i, (p, si) in enumerate(zip(graph.node_spec, graph.node_state)):
+        if finished is None or finished[p]:
+            v = test(graph.states[si])
+            if not v:
+                return i, None
+            counts[v] += 1
+    return None, counts
+
+
+def reference_first_bad_edge(graph, tests_by_label, edge_filter=None):
+    """`first_bad_edge` as a plain scan that asks at every comp edge."""
+    counts = Counter()
+    spec, state = graph.node_spec, graph.node_state
+    for e, (src, li, dst) in enumerate(zip(graph.comp_src, graph.comp_label, graph.comp_dst)):
+        test = tests_by_label[li]
+        if test is None or edge_filter and not edge_filter(li, spec[src], spec[dst]):
+            continue
+        v = test(graph.states[state[src]], graph.states[state[dst]])
+        if not v:
+            return e, None
+        counts[v] += 1
+    return None, counts
+
+
+SCAN_GRAPHS = st.deferred(lambda: st.sampled_from(scan_graphs()) | st.just(scan_graphs()[-1]))
+PALETTES = st.lists(st.sampled_from([True, "a", "b", 1]), min_size=1, max_size=3)  # passing values
+FALSY = st.sampled_from([False, None, 0, ""])
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_first_bad_node_matches_plain_scan(data):
+    """The first failing node and the counts are those of a scan that asks
+    at every node; the test is asked once per state id it reaches."""
+    g = data.draw(SCAN_GRAPHS)  # the two-thread kernel in about half the examples
+    palette = data.draw(PALETTES)
+    values = [palette[si % len(palette)] for si in range(len(g.states))]
+    for si in data.draw(st.sets(st.integers(0, len(g.states) - 1), max_size=3)):
+        values[si] = data.draw(FALSY)
+    answer = dict(zip(g.states, values))
+    finished = data.draw(st.none() | st.lists(st.booleans(), min_size=len(g.specs),
+                                              max_size=len(g.specs)))
+    test, plain = Asked(answer.__getitem__), Asked(answer.__getitem__)
+    got = first_bad_node(g, test, finished)
+    assert got == reference_first_bad_node(g, plain, finished)
+    assert len(test.asked) == len(set(test.asked)) and set(test.asked) == set(plain.asked)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_first_bad_edge_matches_plain_scan(data):
+    """The first failing comp edge and the counts are those of a scan that
+    asks at every edge; each test is asked once per pair of states, and
+    the filter once per (label id, pre spec id, post spec id)."""
+    g = data.draw(SCAN_GRAPHS)  # the two-thread kernel in about half the examples
+    pairs = sorted({(g.node_state[a], g.node_state[b]) for a, b in zip(g.comp_src, g.comp_dst)})
+    tables = []
+    for _ in range(2):  # two relations, each with its own failing pairs
+        palette = data.draw(PALETTES)
+        answer = {(g.states[si], g.states[ti]): palette[(si + 2 * ti) % len(palette)]
+                  for si, ti in pairs}
+        for si, ti in data.draw(st.lists(st.sampled_from(pairs), max_size=4) if pairs
+                                else st.just([])):
+            answer[g.states[si], g.states[ti]] = data.draw(FALSY)
+        tables.append(answer)
+    which = data.draw(st.lists(st.sampled_from([None, 0, 1]), min_size=len(g.labels),
+                               max_size=len(g.labels)))
+    dropped = data.draw(st.sets(st.integers(0, len(g.specs) - 1), max_size=3))
+    use_filter = data.draw(st.booleans())
+
+    def run(scan):
+        tests = [Asked(lambda s, t, a=a: a[s, t]) for a in tables]
+        keep = Asked(lambda li, p, q: p not in dropped and (q + li) % 3 and "kept")
+        got = scan(g, [None if w is None else tests[w] for w in which], keep if use_filter else None)
+        return got, tests, keep
+
+    (got, tests, keep), (want, plain, plain_keep) = run(first_bad_edge), run(reference_first_bad_edge)
+    assert got == want
+    for asked, plain_asked in zip(tests + [keep], plain + [plain_keep]):
+        assert len(asked.asked) == len(set(asked.asked)) and set(asked.asked) == set(plain_asked.asked)
