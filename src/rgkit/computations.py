@@ -13,24 +13,32 @@ the modular construction recurses over the structure of the event system.
 Both are enumerated to a length bound and compared; individual modular
 rules can be disabled to demonstrate the comparison notices.
 
-Both enumerate over a hash-consing table (`_Table`): each configuration
-(spec, state) and each step kind (ENV or ("comp", label)) gets a small
-int in order of first appearance, and a computation is the flat tuple
-(conf, kind, conf, ..., conf) of those ids, which hashes in C.  The ids
-change no set: an id names an equality class, and computations were
-already told apart by equality, so two flat tuples are equal exactly when
-the computations they stand for are.  The public functions return the
-finished id-path set as a `ComputationSet`: its size, membership and
-equality are decided on ids, and it builds `Computation` objects, once,
-from the first object of each class, only when a caller iterates it.
-Equal objects render alike, so counts, witnesses and reports do not
-change.  Every step is a pure function of the configuration it is
-memoised on, within one table where `ctx`, the universe, `k` and the
-disabled rules are fixed; a call that raises stores nothing, and each
-step is first taken at the point the rules take it, so the first
-exception is the same as without the memos.  (CptsMIterTMore steps the
-body computations of an iteration in set order, which follows the ids
-here and followed the string hash seed before.)
+Both build over a hash-consing table (`_Table`).  Each configuration
+(spec, state) and each step kind (ENV or ("comp", label)) gets a small int
+in order of first appearance.  A set of computations that all start at one
+configuration is a node: (conf id, member, kids), where `member` says
+whether the one-configuration computation is in the set and kids is the
+sorted tuple of (kind id, conf id, node) of the nonempty sets of
+continuations after each first step; -1 is the empty set.  Nodes are
+interned too, so within one table equal sets get one node id (Bryant's
+canonical DAGs; Filliatre and Conchon's hash-consing): `linear` and
+`modular` return node ids memoised per (configuration, length bound),
+sets that meet under one first step are joined by a memoised union, and
+the iteration rules are a memoised transform of the body's node.  The
+public functions return a `ComputationSet` over the finished node: its
+size is a count over the DAG, `==` with a view of the same table is an id
+comparison and with another table's view a walk of both DAGs in step, and
+`in` follows one path.  Computations are built only when a caller
+iterates; the equivalence check builds only those of one side's
+difference, to pick the witness.  Ids name equality classes, so counts,
+witnesses and reports are those of the sets of objects.  Every step is a
+pure function of the configuration it is memoised on, within one table
+where `ctx`, the universe, `k` and the disabled rules are fixed; a call
+that raises stores nothing, and each step is first taken where the rules
+as written take it (the linear rules' last move first, the modular rules
+in rule order), so the first exception is the one the plain enumeration
+raises.  (CptsMIterTMore steps the body computations of an iteration in
+the order of their DAG, which the rules leave open.)
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ from .semantics import (
     step_pes,
 )
 from .relations import RelDesc, StateSet, solve_states
-from .verdicts import Verdict, fail, ok
+from .verdicts import Verdict, diag, fail, ok
 
 ENV = ("env",)
 
@@ -134,12 +142,13 @@ _ENV_ID = 0  # kind id of ENV in every table
 
 
 class _Table:
-    """Intern tables, step memos and the modular memo of one check (see
-    the module docstring).  A path is a flat tuple of ids."""
+    """Intern tables, step memos and the path nodes of one check (see the
+    module docstring).  A node is (conf id, member, kids), kids a sorted
+    tuple of (kind id, conf id, node); -1 is the empty set."""
 
     __slots__ = (
         "ctx", "rely", "k", "on", "ids", "confs", "fin", "kind", "tau",
-        "env", "steps", "moves", "lifts", "paths",
+        "env", "steps", "moves", "nodes", "node_ids", "lin", "paths", "lifts", "unions",
     )
 
     def __init__(self, ctx: Ctx, rely: RelDesc, k: Any, disabled: frozenset[str] = frozenset()):
@@ -156,8 +165,12 @@ class _Table:
         self.env: dict = {}  # conf id -> [(ENV id, conf id of (spec, t))] for t in the universe
         self.steps: dict = {}  # conf id -> [(kind id, conf id)] of step_es
         self.moves: dict = {}  # conf id -> [(kind id, conf id)] by the modular rules
-        self.lifts: dict = {}  # q -> {conf id -> conf id of (EsSeq(spec, q), state)}
-        self.paths: dict = {}  # (conf id, budget) -> set of modular paths
+        self.nodes: list = []  # node id -> node
+        self.node_ids: dict = {}  # node -> node id
+        self.lin: dict = {}  # (conf id, budget) -> node of linear paths
+        self.paths: dict = {}  # (conf id, budget) -> node of modular paths
+        self.lifts: dict = {}  # (node, q, budget) -> node of its iteration paths
+        self.unions: dict = {}  # (node, node) -> node of their union
 
     def conf(self, spec, st) -> int:
         key = (spec, st)
@@ -186,64 +199,103 @@ class _Table:
             ]
         return out
 
+    # -- nodes -----------------------------------------------------------
+    def node(self, c: int, member: bool, kids: list) -> int:
+        """The node of the paths from `c`: `(c,)` if `member`, and for each
+        (kind id, conf id, node) of `kids`, `c` and that kind followed by
+        each path of the node.  Kids with one kind and conf are joined."""
+        by: dict = {}
+        for kd, x, n in kids:
+            if n != -1:
+                m = by.get((kd, x))
+                by[kd, x] = n if m is None else self.union(m, n)
+        if not (member or by):
+            return -1
+        key = (c, member, tuple(sorted((kd, x, n) for (kd, x), n in by.items())))
+        i = self.node_ids.get(key)
+        if i is None:
+            i = self.node_ids[key] = len(self.nodes)
+            self.nodes.append(key)
+        return i
+
+    def union(self, a: int, b: int) -> int:
+        """The node of the paths of two nodes from one configuration."""
+        if a == b:
+            return a
+        key = (a, b) if a < b else (b, a)
+        out = self.unions.get(key)
+        if out is None:
+            c, m, kids = self.nodes[a]
+            _, n, more = self.nodes[b]
+            out = self.unions[key] = self.node(c, m or n, kids + more)
+        return out
+
+    def minus(self, a: int, b: int, memo: dict) -> int:
+        """The node of the paths of node `a` that are not paths of `b`."""
+        if a == b or a == -1:
+            return -1
+        if b == -1:
+            return a
+        out = memo.get((a, b))
+        if out is None:
+            c, m, kids = self.nodes[a]
+            _, n, theirs = self.nodes[b]
+            index, rest = {(kd, x): y for kd, x, y in theirs}, []
+            for kd, x, y in kids:
+                rest.append((kd, x, self.minus(y, index.get((kd, x), -1), memo)))
+            out = memo[a, b] = self.node(c, m and not n, rest)
+        return out
+
     # -- linear ----------------------------------------------------------
-    def linear(self, c0: int, max_len: int) -> set[tuple]:
-        """Paths of length <= max_len from c0 by the three linear rules,
-        in the depth-first order of the rules as written."""
-        assert max_len >= 1
-        out: set = set()
-        stack = [(c0,)]
-        pop, push, add = stack.pop, stack.extend, out.add
-        longest = 2 * max_len - 1  # flat length of a max_len computation
-        while stack:
-            p = pop()
-            add(p)
-            if len(p) < longest:
-                c = p[-1]
-                push(map(p.__add__, self.env_of(c)))
-                push(map(p.__add__, self.steps_of(c)))
+    def linear(self, c: int, budget: int) -> int:
+        """The node of the paths of length <= budget from c by the three
+        linear rules, stepped in the depth-first order of the rules as
+        written: each configuration's environment and component moves,
+        then the last of them first."""
+        key = (c, budget)
+        out = self.lin.get(key)
+        if out is None:
+            kids = []
+            if budget >= 2:
+                for kd, x in reversed(self.env_of(c) + self.steps_of(c)):
+                    kids.append((kd, x, self.linear(x, budget - 1)))
+            out = self.lin[key] = self.node(c, True, kids)
         return out
 
     # -- modular ---------------------------------------------------------
-    def modular(self, c: int, budget: int) -> set[tuple]:
-        """Paths of length <= budget from c by the enabled modular rules;
-        the returned set is shared through the memo and never mutated."""
+    def modular(self, c: int, budget: int) -> int:
+        """The node of the paths of length <= budget from c by the enabled
+        modular rules."""
         key = (c, budget)
         out = self.paths.get(key)
         if out is not None:
             return out
-        on = self.on
-        out = {(c,)} if on["CptsMOne"] else set()
+        kids = []
         if budget >= 2:
             b = budget - 1
-            if on["CptsMEnv"]:
-                self._extend(out, c, self.env_of(c), b)
             moves = self.moves.get(c)
+            for group in self._move_groups(c) if moves is None else (moves,):
+                for kd, x in group:
+                    kids.append((kd, x, self.modular(x, b)))
             if moves is None:
-                moves = []
-                for group in self._move_groups(c):
-                    self._extend(out, c, group, b)
-                    moves += group
-                self.moves[c] = moves
-            else:
-                self._extend(out, c, moves, b)
+                self.moves[c] = [kid[:2] for kid in kids]
             spec, st = self.confs[c]
             if isinstance(spec, EsIter) and spec.cond.holds(st):
-                self._iterate(out, c, spec, st, b)
-        self.paths[key] = out
+                x = self.conf(spec.body, st)
+                kids.append((self.tau, self.conf(EsSeq(spec.body, spec), st),
+                             self.lift(self.modular(x, b), spec, b)))
+        out = self.paths[key] = self.node(c, self.on["CptsMOne"], kids)
         return out
 
-    def _extend(self, out: set, c: int, moves: list, b: int) -> None:
-        for kd, x in moves:
-            out.update(map((c, kd).__add__, self.modular(x, b)))
-
     def _move_groups(self, c: int):
-        """The moves of `c` by every enabled modular rule except the
-        iteration head's, one group per step the rules take, generated
-        lazily so that each group is stepped right before the enumeration
-        recurses into it, as the rules are written."""
+        """The moves of `c` by CptsMEnv and by every enabled modular rule
+        except the iteration head's, one group per step the rules take,
+        generated lazily so that each group is stepped right before the
+        enumeration recurses into it, as the rules are written."""
         spec, st = self.confs[c]
         on, k, kind, conf = self.on, self.k, self.kind, self.conf
+        if on["CptsMEnv"]:
+            yield self.env_of(c)
         if isinstance(spec, EsTriggered) and spec.prog is not None:
             ctx = self.ctx
             yield [
@@ -301,56 +353,73 @@ class _Table:
             if not spec.cond.holds(st) and on["CptsMIterF"]:
                 yield [(self.tau, conf(FIN, st))]
 
-    def _iterate(self, out: set, c: int, spec: EsIter, st, b: int) -> None:
-        """CptsMIterTOne and CptsMIterTMore at the iteration head `c`: a
-        body computation that does not finish, lifted by `;; spec`, and,
-        when its last configuration can finish, that step followed by a
-        computation of `spec` again."""
-        fin, confs, conf = self.fin, self.confs, self.conf
-        one, more = self.on["CptsMIterTOne"], self.on["CptsMIterTMore"]
-        head = (c, self.tau)
-        lifts = self.lifts.get(spec)
-        if lifts is None:
-            lifts = self.lifts[spec] = {}
-        for p in self.modular(conf(spec.body, st), b):
-            cs = p[::2]
-            if any(map(fin.__getitem__, cs)):
-                continue
-            lifted = list(p)
-            for i, x in enumerate(cs):
-                y = lifts.get(x)
-                if y is None:
-                    a, t = confs[x]
-                    y = lifts[x] = conf(EsSeq(a, spec), t)
-                lifted[2 * i] = y
-            lifted = head + tuple(lifted)
-            if one:
-                out.add(lifted)
-            if more:
-                rem = b - len(cs)
-                if rem >= 1:
-                    for kd, x in self.steps_of(p[-1]):
-                        if fin[x]:
-                            pre = lifted + (kd,)
-                            out.update(map(pre.__add__, self.modular(conf(spec, confs[x][1]), rem)))
+    def lift(self, n: int, q: EsIter, budget: int) -> int:
+        """CptsMIterTOne and CptsMIterTMore on the body paths of node `n`,
+        each of length <= budget: the paths that meet no FIN
+        configuration, lifted by `;; q`, and, where such a path can still
+        grow, its finishing steps, each followed by the paths of `q`."""
+        if n == -1 or self.fin[self.nodes[n][0]]:
+            return -1
+        key = (n, q, budget)
+        out = self.lifts.get(key)
+        if out is None:
+            x, member, body = self.nodes[n]
+            kids = []
+            if member and budget >= 2 and self.on["CptsMIterTMore"]:
+                for kd, z in self.steps_of(x):
+                    if self.fin[z]:
+                        y = self.conf(q, self.confs[z][1])
+                        kids.append((kd, y, self.modular(y, budget - 1)))
+            for kd, z, m in body:
+                a, t = self.confs[z]
+                kids.append((kd, self.conf(EsSeq(a, q), t), self.lift(m, q, budget - 1)))
+            a, t = self.confs[x]
+            lifted = self.conf(EsSeq(a, q), t)
+            out = self.lifts[key] = self.node(lifted, member and self.on["CptsMIterTOne"], kids)
+        return out
+
+
+def _count(nodes: list, root: int) -> int:
+    """The number of paths of node `root`, counted over the nodes up to it
+    in id order, which puts every node after its kids."""
+    n: list = []
+    for _, m, kids in nodes[: root + 1]:
+        n.append(m + sum(n[y] for _, _, y in kids))
+    return n[root] if root != -1 else 0
+
+
+def _walk(nodes: list, root: int):
+    """The (conf ids, kind ids) of each path of node `root`."""
+    stack = [(root, (nodes[root][0],), ())] if root != -1 else []
+    while stack:
+        n, cs, ks = stack.pop()
+        _, member, kids = nodes[n]
+        if member:
+            yield cs, ks
+        for kd, x, y in kids:
+            stack.append((y, cs + (x,), ks + (kd,)))
 
 
 class ComputationSet(Set):
-    """A finished set of id paths of one `_Table`, seen as a set of
-    `Computation` objects.  It keeps the table's intern tables but none of
-    its memos.  `len`, `in` and `==` with another view run on ids; any
-    other use iterates, which builds the computations once."""
+    """The paths of one node of a `_Table`, seen as a set of `Computation`
+    objects.  It keeps the table's nodes and intern tables but none of its
+    memos.  `len`, `in` and `==` with another view run on nodes; any other
+    use iterates, which builds the computations once."""
 
-    __slots__ = ("_paths", "_confs", "_kinds", "_conf_ids", "_kind_ids", "_objs")
+    __slots__ = ("_root", "_nodes", "_confs", "_kinds", "_conf_ids", "_kind_ids", "_objs")
 
-    def __init__(self, table: _Table, paths):
-        self._paths = paths
+    def __init__(self, table: _Table, root: int):
+        self._root, self._nodes = root, table.nodes
         self._confs, self._conf_ids = table.confs, table.ids
         self._kinds, self._kind_ids = table.kind.objs, table.kind.ids
         self._objs: frozenset[Computation] | None = None
 
     def __len__(self) -> int:
-        return len(self._paths)
+        return self.count()
+
+    def count(self) -> int:
+        """The size, also above `sys.maxsize`, where `len` cannot go."""
+        return _count(self._nodes, self._root)
 
     def __iter__(self):
         return iter(self._computations())
@@ -359,33 +428,47 @@ class ComputationSet(Set):
         if self._objs is None:
             confs, kinds = self._confs, self._kinds
             self._objs = frozenset(
-                Computation(tuple(map(confs.__getitem__, p[::2])), tuple(map(kinds.__getitem__, p[1::2])))
-                for p in self._paths
+                Computation(tuple(map(confs.__getitem__, cs)), tuple(map(kinds.__getitem__, ks)))
+                for cs, ks in _walk(self._nodes, self._root)
             )
         return self._objs
 
     def __contains__(self, c) -> bool:
-        if not isinstance(c, Computation):
+        conf_id, kind_id, nodes, n = self._conf_ids.get, self._kind_ids.get, self._nodes, self._root
+        if not isinstance(c, Computation) or n == -1 or nodes[n][0] != conf_id(c.confs[0]):
             return False
-        flat = [-1] * (2 * len(c.confs) - 1)
-        flat[::2] = [self._conf_ids.get(x, -1) for x in c.confs]
-        flat[1::2] = [self._kind_ids.get(x, -1) for x in c.kinds]
-        return tuple(flat) in self._paths
+        for kind, conf in zip(c.kinds, c.confs[1:]):
+            key = (kind_id(kind), conf_id(conf))
+            n = next((y for kd, x, y in nodes[n][2] if (kd, x) == key), None)
+            if n is None:
+                return False
+        return nodes[n][1]
 
     def __eq__(self, other):
         if isinstance(other, ComputationSet):
-            if len(self._paths) != len(other._paths):
-                return False
-            # Map each id to the other table's id of the same value, or to
-            # -1, which no path holds.  Ids of one table name distinct
-            # values, so the map is one-to-one on the paths it keeps, and
-            # with equal sizes inclusion is equality.
+            if self._nodes is other._nodes or -1 in (self._root, other._root):
+                return self._root == other._root
+            # Walk both DAGs in step: two nodes hold equal sets iff their
+            # confs, member flags and kid keys correspond one to one (ids
+            # name distinct values) and so do the kids' nodes.
             conf_id, kind_id = other._conf_ids.get, other._kind_ids.get
-            cm = [conf_id(x, -1) for x in self._confs]
-            km = [kind_id(x, -1) for x in self._kinds]
-            maps = (cm, km) * ((max(map(len, self._paths), default=0) + 1) // 2)
-            at, theirs = list.__getitem__, other._paths
-            return all(tuple(map(at, maps, p)) in theirs for p in self._paths)
+            confs, kinds, mine, theirs = self._confs, self._kinds, self._nodes, other._nodes
+            seen, stack = set(), [(self._root, other._root)]
+            while stack:
+                pair = stack.pop()
+                if pair in seen:
+                    continue
+                seen.add(pair)
+                (c, m, kids), (d, n, their_kids) = mine[pair[0]], theirs[pair[1]]
+                if conf_id(confs[c]) != d or m != n or len(kids) != len(their_kids):
+                    return False
+                index = {(kd, x): y for kd, x, y in their_kids}
+                for kd, x, y in kids:
+                    z = index.get((kind_id(kinds[kd]), conf_id(confs[x])))
+                    if z is None:
+                        return False
+                    stack.append((y, z))
+            return True
         if isinstance(other, Set):
             return self._computations() == other
         return NotImplemented
@@ -400,7 +483,7 @@ class ComputationSet(Set):
         """The configuration sequences of the computations, without their
         step kinds."""
         confs = self._confs
-        return {tuple(map(confs.__getitem__, p[::2])) for p in self._paths}
+        return {tuple(map(confs.__getitem__, cs)) for cs, _ in _walk(self._nodes, self._root)}
 
 
 def cpts_linear(
@@ -483,31 +566,36 @@ def check_linear_modular_equiv(
     up to max_len.  FAIL carries a computation present in exactly one set.
 
     Both constructions run over one table, shared by all initial states,
-    and only the witness is converted to a `Computation`."""
+    and only the paths of one side's difference are converted to
+    `Computation` objects.  A bound deeper than the recursion limit ends
+    as a `state-explosion` diagnostic."""
     check = "equiv-cpts"
     table = _Table(ctx, rely_universe, k, disabled)
     total = 0
-    for s in solve_states(pre, mode=init_mode):
-        c0 = table.conf(s_sys, s)
-        lin = table.linear(c0, max_len)
-        mod = table.modular(c0, max_len)
-        total += len(lin)
-        if lin != mod:
-            only = lin - mod
-            side = "linear-only" if only else "modular-only"
-            memo: dict = {}
-            w = min(
-                ComputationSet(table, only or mod - lin),
-                key=lambda c: c.sort_key(ctx.schema, memo),
-            )
-            return fail(
-                check,
-                side,
-                witness={
-                    "computation": w.render(ctx.schema),
-                    "linear_count": len(lin),
-                    "modular_count": len(mod),
-                },
-                detail={"initial_state": ctx.schema.state_to_dict(s)},
-            )
+    try:
+        for s in solve_states(pre, mode=init_mode):
+            c0 = table.conf(s_sys, s)
+            lin, mod = table.linear(c0, max_len), table.modular(c0, max_len)
+            total += _count(table.nodes, lin)
+            if lin != mod:
+                diff: dict = {}
+                only = table.minus(lin, mod, diff)
+                side = "linear-only" if only != -1 else "modular-only"
+                if only == -1:
+                    only = table.minus(mod, lin, diff)
+                memo: dict = {}
+                w = min(ComputationSet(table, only), key=lambda c: c.sort_key(ctx.schema, memo))
+                return fail(
+                    check,
+                    side,
+                    witness={
+                        "computation": w.render(ctx.schema),
+                        "linear_count": _count(table.nodes, lin),
+                        "modular_count": _count(table.nodes, mod),
+                    },
+                    detail={"initial_state": ctx.schema.state_to_dict(s)},
+                )
+    except RecursionError:
+        cause = f"max_len {max_len} nests computations deeper than the recursion limit"
+        return diag(check, "state-explosion", detail={"cause": cause})
     return ok(check, detail={"computations": total})

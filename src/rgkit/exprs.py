@@ -747,7 +747,10 @@ def compile_expr(e: Expr, schema: Schema, binds: dict[str, tuple[int, Type]] | N
             return _quant
         raise AssertionError(f"unknown node {e!r}")
 
-    return comp(e)
+    try:
+        return comp(e)
+    finally:
+        del comp  # its closure holds it: free the cycle by reference count
 
 
 _PREC = {

@@ -357,6 +357,20 @@ def test_full_universe_over_budget_is_diagnostic(argv, expected):
     assert strip_millis(out).splitlines()[1:] == [json.dumps(expected, sort_keys=True)]
 
 
+def test_equiv_cpts_deeper_than_recursion_limit_is_diagnostic(capsys):
+    """Computation nodes are built by recursion, one level per step.  A
+    bound far deeper than the interpreter allows is a typed diagnostic,
+    not an internal error."""
+    code, out = run_cli(["check", "equiv-cpts", corpus_path("cpts_suite.pcm"), "--target", "e14",
+                         "--pre", "init0", "--universe-rel", "full", "--max-len", "5000"])
+    assert code == 2 and capsys.readouterr().err == ""
+    assert strip_millis(out).splitlines()[1:] == [json.dumps(
+        {"check": "equiv-cpts", "clause": "state-explosion",
+         "detail": {"cause": "max_len 5000 nests computations deeper than the recursion limit"},
+         "millis": 0, "record": "verdict", "result": "DIAGNOSTIC", "target": "e14"},
+        sort_keys=True)]
+
+
 BUILTIN_SET = "<model declaring SET s := BUILTIN inv>"
 EQUIV_E04 = ["check", "equiv-cpts", corpus_path("cpts_suite.pcm"), "--target", "e04",
              "--pre", "init0", "--universe-rel", "full", "--max-len", "2"]

@@ -5,7 +5,14 @@ import os
 import pytest
 
 from conftest import corpus_path
-from rgkit.adapters import AdapterContext, AwaitDivergence, Basic, IMP_ADAPTER, terminal_states
+from rgkit.adapters import (
+    AdapterContext,
+    AwaitDivergence,
+    Basic,
+    IMP_ADAPTER,
+    While,
+    terminal_states,
+)
 from rgkit.computations import (
     ENV,
     Computation,
@@ -418,17 +425,137 @@ def test_enumerators_match_reference(name):
 
 
 def test_cpts_modular_leaves_no_cyclic_garbage():
+    """Building, counting, comparing, probing and iterating the sets, and a
+    failing check with its witness, free everything by reference count."""
     mf = CPTS_SUITE
     ctx, full, es = mf.ctx(), mf.rels["full"], mf.esystems["e14"]
     s0 = mf.schema.initial_state()
-    cpts_modular(ctx, es, s0, full, 4)  # warm up lazily built caches
+    e04, init0, no_seq_fin = mf.esystems["e04"], mf.sets["init0"], frozenset(["CptsMSeqFin"])
+
+    def use():
+        lin = cpts_linear(ctx, es, s0, full, 4)
+        mod = cpts_modular(ctx, es, s0, full, 4)
+        assert len(lin) == len(mod) and lin == mod and not lin != mod
+        assert all(c in mod for c in lin) and len(list(mod)) == len(mod)
+        assert check_linear_modular_equiv(ctx, e04, init0, full, 5, disabled=no_seq_fin).failed
+
+    use()  # warm up lazily built caches
     gc.collect()
     gc.disable()
     try:
-        cpts_modular(ctx, es, s0, full, 4)
+        use()
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def spin(schema, label, guard=None):
+    """An atomic event whose body never terminates."""
+    guard = guard if guard is not None else true_set(schema)
+    return EsAtomic(EventSet((EventSpec(label, guard, While(true_set(schema), Basic(()))),)))
+
+
+def first_divergence(build):
+    try:
+        build()
+    except AtomDivergence as e:
+        return str(e)
+    return None
+
+
+def test_first_exception_matches_reference():
+    """Two atomic events labelled a and b diverge.  The linear rules step
+    the last move first and the modular rules the first rule first, so
+    the two constructions can stop at different events; each stops where
+    its reference does."""
+    schema, ctx = mk()
+    e, f = one_event(schema), one_event(schema, label="f", body=Basic((("x", Lit(2)),)))
+    x_is = lambda v: StateSet(schema, Cmp("=", Var("x"), Lit(v)))  # noqa: E731
+    a, b = spin(schema, "a"), spin(schema, "b")
+    systems = [
+        EsChoice(EsSeq(e, a), EsSeq(f, b)),
+        EsJoin(EsSeq(e, a), EsSeq(f, b)),
+        EsChoice(spin(schema, "a", x_is(2)), spin(schema, "b", x_is(1))),
+        EsSeq(EsChoice(e, f), EsChoice(spin(schema, "a", x_is(1)), spin(schema, "b", x_is(2)))),
+    ]
+    seen = set()
+    for es in systems:
+        for u in (full_rel(schema), identity_rel(schema)):
+            for x in range(3):
+                s = schema.state(x=x)
+                for ml in range(2, 6):
+                    lin = first_divergence(lambda: reference_linear(ctx, es, s, u, ml))
+                    mod = first_divergence(lambda: reference_modular(ctx, es, s, u, ml))
+                    assert first_divergence(lambda: cpts_linear(ctx, es, s, u, ml)) == lin
+                    assert first_divergence(lambda: cpts_modular(ctx, es, s, u, ml)) == mod
+                    seen.add((lin, mod))
+    assert ("atom-divergence in b", "atom-divergence in a") in seen
+
+
+def materialise(nodes):
+    """Each node's paths, as flat (conf, kind, conf, ...) id tuples, from
+    the node's definition: `(c,)` if a member, and `c` and each kid's
+    kind before each path of the kid's node, which must come earlier."""
+    out = []
+    for c, member, kids in nodes:
+        paths = {(c,)} if member else set()
+        for kd, x, y in kids:
+            assert 0 <= y < len(out) and nodes[y][0] == x
+            paths.update((c, kd) + p for p in out[y])
+        out.append(frozenset(paths))
+    return out
+
+
+@pytest.mark.parametrize("rule", (None,) + MODULAR_RULES)
+def test_node_ids_are_canonical(rule):
+    """In one table shared by every suite system, both constructions and
+    lengths 1-5, no node is empty and no two nodes hold the same paths, so
+    two node ids are equal exactly when their paths are."""
+    mf = CPTS_SUITE
+    ctx, full, s0 = mf.ctx(), mf.rels["full"], mf.schema.initial_state()
+    table = _Table(ctx, full, "es", frozenset([rule] if rule else []))
+    for name in sorted(mf.esystems):
+        c0 = table.conf(mf.esystems[name], s0)
+        for ml in range(1, 6):
+            table.linear(c0, ml)
+            table.modular(c0, ml)
+    sets = materialise(table.nodes)
+    assert all(sets) and len(set(sets)) == len(sets)
+
+
+def walk_count(ctx, spec, st, rely, max_len, memo):
+    """The number of computations of length <= max_len from (spec, st) by
+    the linear rules: one, and the walks after each distinct move."""
+    key = (spec, st, max_len)
+    if key not in memo:
+        n = 1
+        if max_len >= 2:
+            for t in set(rely.successors(st)):
+                n += walk_count(ctx, spec, t, rely, max_len - 1, memo)
+            for _, spec2, t in set(step_es(ctx, spec, st, "es")):
+                n += walk_count(ctx, spec2, t, rely, max_len - 1, memo)
+        memo[key] = n
+    return memo[key]
+
+
+def test_counts_match_walk_count_at_length_40():
+    """At a length no enumeration reaches, both views count what the
+    walk-count recurrence gives; `len` cannot hold such a count, so the
+    check takes its total from `count`."""
+    mf = CPTS_SUITE
+    ctx, full, init0 = mf.ctx(), mf.rels["full"], mf.sets["init0"]
+    for name in sorted(mf.esystems):
+        es, memo, total = mf.esystems[name], {}, 0
+        for s in solve_states(init0):
+            want = walk_count(ctx, es, s, full, 40, memo)
+            lin, mod = cpts_linear(ctx, es, s, full, 40), cpts_modular(ctx, es, s, full, 40)
+            assert lin.count() == mod.count() == want, name
+            total += want
+        v = check_linear_modular_equiv(ctx, es, init0, full, 40)
+        assert v.passed and v.detail == {"computations": total}, name
+    assert total == 7_911_548_520_976_511_048_115_188_671_570_520  # e14, as in CI
+    with pytest.raises(OverflowError):
+        len(lin)
 
 
 # ----------------------------------------------------------------------
@@ -535,11 +662,14 @@ def test_view_keeps_no_memo_of_its_table():
     mf = CPTS_SUITE
     ctx, full, s0 = mf.ctx(), mf.rels["full"], mf.schema.initial_state()
     table = _Table(ctx, full, "es")
-    paths = table.modular(table.conf(mf.esystems["e14"], s0), 4)
-    view = ComputationSet(table, paths)
+    root = table.modular(table.conf(mf.esystems["e14"], s0), 4)
+    view = ComputationSet(table, root)
     assert not hasattr(view, "__dict__")
     kept = {id(x) for x in gc.get_referents(view)}
-    allowed = (paths, table.confs, table.ids, table.kind.objs, table.kind.ids, ComputationSet, None)
+    allowed = (root, table.nodes, table.confs, table.ids, table.kind.objs, table.kind.ids,
+               ComputationSet, None)
     assert kept <= {id(x) for x in allowed}
-    for memo in (table, table.env, table.steps, table.moves, table.lifts, table.paths):
+    memos = (table, table.node_ids, table.env, table.steps, table.moves, table.lin,
+             table.paths, table.lifts, table.unions)
+    for memo in memos:
         assert id(memo) not in kept
