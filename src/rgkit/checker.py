@@ -49,38 +49,10 @@ from .semantics import ConfigGraph, Ctx, build_graph, first_bad_edge, first_bad_
 from .verdicts import Verdict, diag, fail, ok
 
 
-# ----------------------------------------------------------------------
-# Assumption / commitment of a single computation.
-# ----------------------------------------------------------------------
-
-
-def in_assume(c: Computation, pre: StateSet, rely: RelDesc) -> bool:
-    """First state in pre; every environment step's state pair in rely."""
-    if not pre.holds(c.confs[0][1]):
-        return False
-    for i, kind in enumerate(c.kinds):
-        if kind == ENV:
-            if not rely.contains(c.confs[i][1], c.confs[i + 1][1]):
-                return False
-    return True
-
-
 def _conf_finished(spec) -> bool:
     if isinstance(spec, ParallelEventSystem):
         return spec.all_fin()
     return is_fin(spec)
-
-
-def in_commit(ctx: Ctx, c: Computation, guar: RelDesc, post: StateSet) -> bool:
-    """Component steps in guar; a finished final configuration in post."""
-    for i, kind in enumerate(c.kinds):
-        if kind != ENV:
-            if not guar.contains(c.confs[i][1], c.confs[i + 1][1]):
-                return False
-    spec, s = c.confs[-1]
-    if _conf_finished(spec) and not post.holds(s):
-        return False
-    return True
 
 
 # ----------------------------------------------------------------------

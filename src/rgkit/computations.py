@@ -57,7 +57,6 @@ from .events import (
     EsTriggered,
     EventSystem,
     FIN,
-    ParallelEventSystem,
     is_fin,
     render_system,
     tau,
@@ -73,7 +72,6 @@ from .semantics import (
     _seq_succ,
     _trg_succ,
     step_es,
-    step_pes,
 )
 from .relations import RelDesc, StateSet, solve_states
 from .verdicts import Verdict, diag, fail, ok
@@ -501,14 +499,6 @@ def cpts_linear(
     return ComputationSet(table, table.linear(table.conf(s_sys, s), max_len))
 
 
-def lift_seq_cpt(c: Computation, q: EventSystem) -> Computation:
-    """Sequential lift: every spec S becomes S ;; q; states and step kinds
-    are unchanged."""
-    return Computation(
-        tuple((EsSeq(spec, q), st) for spec, st in c.confs), c.kinds
-    )
-
-
 def cpts_modular(
     ctx: Ctx,
     s_sys: EventSystem,
@@ -524,32 +514,6 @@ def cpts_modular(
     assert max_len >= 1
     table = _Table(ctx, rely_universe, k, disabled)
     return ComputationSet(table, table.modular(table.conf(s_sys, s), max_len))
-
-
-def dump_computations(ctx: Ctx, comps) -> list[list[dict]]:
-    """Deterministic serialized list of a computation set, for golden
-    comparisons: sorted by rendered form."""
-    return [c.render(ctx.schema) for c in sorted(comps, key=lambda c: c.sort_key(ctx.schema))]
-
-
-def computation_valid(ctx: Ctx, c: Computation, k: Any = "es") -> tuple[bool, str]:
-    """Replay a computation: every adjacent pair must satisfy its recorded
-    step kind (env preserves the spec; comp pairs must be semantic steps)."""
-    for i in range(len(c) - 1):
-        (spec1, s1), (spec2, s2) = c.confs[i], c.confs[i + 1]
-        kind = c.kinds[i]
-        if kind == ENV:
-            if spec1 != spec2:
-                return False, f"env step {i} changes the spec"
-        else:
-            lbl = kind[1]
-            if isinstance(spec1, ParallelEventSystem):
-                steps = step_pes(ctx, spec1, s1)
-            else:
-                steps = step_es(ctx, spec1, s1, k)
-            if (lbl, spec2, s2) not in steps:
-                return False, f"comp step {i} is not a semantic step"
-    return True, "ok"
 
 
 def check_linear_modular_equiv(

@@ -12,9 +12,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Any
 
-from .exprs import Expr, Lit, _node, check_expr, substitute
+from .exprs import Expr, Lit, _node, substitute
 from .relations import StateSet
-from .values import BoolType, LoadError, Schema, Type, conforms, domain_iter, render_value
+from .values import LoadError, Schema, Type, conforms, domain_iter, render_value
 
 
 @_node
@@ -184,13 +184,13 @@ def expand_events(template: EventTemplate, schema: Schema, subst_body) -> EventS
     instances = []
     for values in itertools.product(*domains):
         env = {p[0]: Lit(v, p[1]) for p, v in zip(template.params, values)}
-        guard_expr = substitute(template.guard, env)
-        check_expr(guard_expr, schema, BoolType())
+        # StateSet type-checks the guard, before the body is substituted.
+        guard = StateSet(schema, substitute(template.guard, env))
         body = subst_body(template.body, env)
         instances.append(
             EventSpec(
                 label=instance_label(template.name, template.params, values),
-                guard=StateSet(schema, guard_expr),
+                guard=guard,
                 body=body,
             )
         )

@@ -809,16 +809,16 @@ def render_expr(e: Expr, prec: int = 0) -> str:
         return f"ISSOME({render_expr(e.opt)})"
     if isinstance(e, TheOpt):
         return f"THE({render_expr(e.opt)})"
-    if isinstance(e, Arith):
+    if isinstance(e, (Arith, BoolOp)):
+        # IMPLIES and ^ associate to the right: a left operand at their
+        # own precedence needs parentheses.
         p = _PREC[e.op]
-        return wrap(f"{render_expr(e.a, p)} {e.op} {render_expr(e.b, p + 1)}", p)
+        left = p + 1 if e.op in ("IMPLIES", "^") else p
+        return wrap(f"{render_expr(e.a, left)} {e.op} {render_expr(e.b, p + 1)}", p)
     if isinstance(e, Neg):
         return wrap(f"-{render_expr(e.a, 8)}", 7)
     if isinstance(e, Cmp):
         return wrap(f"{render_expr(e.a, 5)} {e.op} {render_expr(e.b, 5)}", 4)
-    if isinstance(e, BoolOp):
-        p = _PREC[e.op]
-        return wrap(f"{render_expr(e.a, p)} {e.op} {render_expr(e.b, p + 1)}", p)
     if isinstance(e, NotE):
         return wrap(f"NOT {render_expr(e.a, 4)}", 3)
     if isinstance(e, CondE):

@@ -8,14 +8,15 @@ Two formats share one tokenizer:
            assemble the kernel corpus model at the declared dimensions.
   .bpc  -- a schema plus link declarations and named activities.
 
-Parsing produces positioned errors; `serialize(parse(text))` is canonical
-and `parse . serialize` is the identity on the loaded model.
+The parser works over the list of token strings; a token's line and
+column are computed from its index only for an error message.  Parsing
+produces positioned errors; `serialize(parse(text))` is canonical and
+`parse . serialize` is the identity on the loaded model.
 """
 
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -89,6 +90,7 @@ from .exprs import (
     TheOpt,
     UpdateE,
     Var,
+    _compiled,
     render_expr,
 )
 from .relations import RGSpec, RelDesc, RelRule, StateSet, full_rel, univ_rel
@@ -106,46 +108,58 @@ from .values import (
     render_value,
 )
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<num>-?\d+)
-  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>:=|;;|\.\.|!=|<=|>=|->|[()\[\]{}:,;.=<>+\-*^@|])
-    """,
-    re.VERBOSE,
+# One token: a name, an integer with an optional minus, or an operator.
+# Where two alternatives can match at one character the longer comes
+# first: an integer before "->" and "-", and each two-character operator
+# before its first character.
+_TOKEN = (
+    r"[A-Za-z_][A-Za-z0-9_]*"  # a name
+    r"|[()\[\]{},+*^@|]"  # an operator that starts no other token
+    r"|-?\d+"  # an integer
+    r"|:=|;;|\.\.|!=|<=|>=|->|[:;.=<>\-]"
 )
+# Every token as group 1; a comment matches with no group.
+_TOKENS_RE = re.compile(rf"\#[^\n]*|({_TOKEN})")
+# The longest prefix of a text that splits into whitespace, comments and
+# tokens: nothing follows the loop, so it never backtracks.
+_LEXABLE_RE = re.compile(rf"(?:\s+|\#[^\n]*|{_TOKEN})*")
 
 
-@dataclass
-class Tok:
-    kind: str  # "num" | "id" | "op" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-def tokenize(text: str) -> list[Tok]:
-    toks: list[Tok] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise LoadError(f"unexpected character {text[i]!r}", (line, col))
-        kind = m.lastgroup
-        t = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append(Tok(kind, t, line, col))
-        nl = t.count("\n")
-        if nl:
-            line += nl
-            col = len(t) - t.rfind("\n")
-        else:
-            col += len(t)
-        i = m.end()
-    toks.append(Tok("eof", "", line, col))
+def tokenize(text: str) -> list[str]:
+    """The token strings of `text` followed by "", the end marker.  A
+    character that starts no whitespace, comment or token is an error."""
+    end = _LEXABLE_RE.match(text).end()
+    if end < len(text):
+        raise LoadError(f"unexpected character {text[end]!r}", _line_col(text, end))
+    toks = list(filter(None, _TOKENS_RE.findall(text)))  # drop the comments
+    toks.append("")
     return toks
+
+
+def token_kind(t: str) -> str:
+    """"id" for a name, "num" for an integer, "op" for an operator, and
+    "eof" for the end marker.  Names start with a letter or "_", integers
+    end with a digit and operators hold neither."""
+    if not t:
+        return "eof"
+    if t[0] == "_" or t[0].isalpha():
+        return "id"
+    return "num" if t[-1].isdecimal() else "op"
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def token_position(text: str, k: int) -> tuple[int, int]:
+    """(line, column) of token `k` of `tokenize(text)`; the end marker
+    sits at the end of the text."""
+    for m in _TOKENS_RE.finditer(text):
+        if m.lastindex:
+            if not k:
+                return _line_col(text, m.start())
+            k -= 1
+    return _line_col(text, len(text))
 
 
 @dataclass
@@ -178,225 +192,236 @@ class BpelFile:
     activities: dict[str, bp.Activity] = field(default_factory=dict)
 
 
+# Binary operators: (precedence, least precedence of the right operand,
+# greatest precedence of an operator that may follow at the same level,
+# tree builder).  IMPLIES and ^ associate to the right; a comparison or IN
+# takes no chain.  Prefix NOT binds at 4 and prefix minus at 9.
+_BINARY: dict[str, tuple] = {
+    "IMPLIES": (1, 1, 0, BoolOp),
+    "OR": (2, 3, 2, BoolOp),
+    "AND": (3, 4, 3, BoolOp),
+    **{op: (5, 6, 4, Cmp) for op in ("=", "!=", "<", "<=", ">", ">=")},
+    "IN": (5, 6, 4, lambda _op, a, b: ContainsE(b, a)),
+    "+": (6, 7, 6, Arith),
+    "-": (6, 7, 6, Arith),
+    "*": (7, 8, 7, Arith),
+    "DIV": (7, 8, 7, Arith),
+    "MOD": (7, 8, 7, Arith),
+    "^": (8, 8, 7, Arith),
+}
+
+# Built-in calls with their node class and arity.
+_CALLS = {
+    "LEN": (Len, 1),
+    "APPEND": (AppendE, 2),
+    "UPDATE": (UpdateE, 3),
+    "REMOVE": (RemoveE, 2),
+    "HEAD": (HeadE, 1),
+    "TAIL": (TailE, 1),
+    "SETFIELDAT": (RecWithDyn, 3),
+    "ISSOME": (IsSome, 1),
+    "THE": (TheOpt, 1),
+    "COND": (CondE, 3),
+}
+
+
+class _Located:
+    """Gives a LoadError raised without a position inside the block (by
+    the checks that run after parsing) the position of token `k`, where
+    the parser started the construct.  A class, not a generator: models
+    enter one such block per set, rule, program and event reference."""
+
+    __slots__ = ("parser", "k")
+
+    def __init__(self, parser: "Parser", k: int):
+        self.parser, self.k = parser, k
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, typ, e, tb) -> None:
+        if isinstance(e, LoadError) and e.pos is None:
+            raise LoadError(e.msg, self.parser.pos(self.k)) from e
+
+
 class Parser:
+    """Recursive descent over the token strings of one text.  `i` indexes
+    the next token; a position is computed from a token index only when
+    an error needs it."""
+
     def __init__(self, text: str):
+        self.text = text
         self.toks = tokenize(text)
         self.i = 0
-        self.event_at: dict[str, Tok] = {}  # event name -> its name token
+        self.event_at: dict[str, int] = {}  # event name -> index of its name token
+        self.mf: ModelFile | None = None
 
     # -- token utilities --------------------------------------------------
-    def peek(self) -> Tok:
-        return self.toks[self.i]
+    def pos(self, k: int) -> tuple[int, int]:
+        return token_position(self.text, k)
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("id", "op")
+        return self.toks[self.i] == text
 
-    def next(self) -> Tok:
+    def take(self, text: str) -> bool:
+        """Consume the next token if it is `text`."""
+        if self.toks[self.i] == text:
+            self.i += 1
+            return True
+        return False
+
+    def next(self) -> str:
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def expect(self, text: str) -> Tok:
-        t = self.next()
-        if t.text != text:
-            raise LoadError(f"expected {text!r}, found {t.text!r}", (t.line, t.col))
+    def expect(self, text: str) -> str:
+        t = self.toks[self.i]
+        if t != text:
+            raise self.err(f"expected {text!r}, found {t!r}")
+        self.i += 1
         return t
 
     def ident(self) -> str:
-        t = self.next()
-        if t.kind != "id":
-            raise LoadError(f"expected a name, found {t.text!r}", (t.line, t.col))
-        return t.text
+        t = self.toks[self.i]
+        if not t.isidentifier():  # of the tokens, exactly the names
+            raise self.err(f"expected a name, found {t!r}")
+        self.i += 1
+        return t
 
-    def err(self, msg: str) -> LoadError:
-        t = self.peek()
-        return LoadError(msg, (t.line, t.col))
+    def err(self, msg: str, k: int | None = None) -> LoadError:
+        """A LoadError at token `k`, by default the next one."""
+        return LoadError(msg, self.pos(self.i if k is None else k))
 
-    @contextmanager
-    def located(self, t: Tok):
-        """Give a LoadError raised without a position inside the block (by
-        the checks that run after parsing) the position of `t`, the token
-        where the parser started the construct."""
-        try:
-            yield
-        except LoadError as e:
-            if e.pos is not None:
-                raise
-            raise LoadError(e.msg, (t.line, t.col)) from e
+    def located(self, k: int) -> _Located:
+        return _Located(self, k)
+
+    def _list(self, item, sep: str = ",") -> list:
+        """One or more `item()`s separated by `sep`."""
+        items = [item()]
+        while self.take(sep):
+            items.append(item())
+        return items
+
+    def _enclosed(self, open_: str, item, close: str):
+        """`item()` between the tokens `open_` and `close`."""
+        self.expect(open_)
+        x = item()
+        self.expect(close)
+        return x
 
     # -- types and values -------------------------------------------------
     def parse_type(self) -> Type:
         t = self.next()
-        if t.text == "INT":
+        if t == "INT":
             lo = self.parse_int()
             self.expect("..")
-            hi = self.parse_int()
-            return IntType(lo, hi)
-        if t.text == "BOOL":
+            return IntType(lo, self.parse_int())
+        if t == "BOOL":
             return BoolType()
-        if t.text == "SYM":
+        if t == "SYM":
             self.expect("{")
-            vals = [self.ident()]
-            while self.at(","):
-                self.next()
-                vals.append(self.ident())
+            vals = self._list(self.ident)
             self.expect("}")
             return SymType(tuple(vals))
-        if t.text == "SEQ":
+        if t == "SEQ":
             n = self.parse_int()
             self.expect("OF")
             return SeqType(self.parse_type(), n)
-        if t.text == "REC":
+        if t == "REC":
             self.expect("{")
-            fields_ = [(self.ident(), self._field_type())]
-            while self.at(","):
-                self.next()
-                fields_.append((self.ident(), self._field_type()))
+            fields_ = self._list(lambda: (self.ident(), self._field_type()))
             self.expect("}")
             return RecType(tuple(fields_))
-        if t.text == "OPT":
+        if t == "OPT":
             return OptType(self.parse_type())
-        raise LoadError(f"expected a type, found {t.text!r}", (t.line, t.col))
+        raise self.err(f"expected a type, found {t!r}", self.i - 1)
 
     def _field_type(self) -> Type:
         self.expect(":")
         return self.parse_type()
 
     def parse_int(self) -> int:
-        t = self.next()
-        if t.kind != "num":
-            raise LoadError(f"expected an integer, found {t.text!r}", (t.line, t.col))
-        return int(t.text)
+        t = self.toks[self.i]
+        if token_kind(t) != "num":
+            raise self.err(f"expected an integer, found {t!r}")
+        self.i += 1
+        return int(t)
 
     def parse_value(self, typ: Type):
-        t = self.peek()
+        k = self.i
         if isinstance(typ, IntType):
             return self.parse_int()
         if isinstance(typ, BoolType):
-            v = self.next().text
+            v = self.next()
             if v not in ("true", "false"):
-                raise LoadError(f"expected a boolean, found {v!r}", (t.line, t.col))
+                raise self.err(f"expected a boolean, found {v!r}", k)
             return v == "true"
         if isinstance(typ, SymType):
             v = self.ident()
             if v not in typ.values:
-                raise LoadError(f"symbol {v!r} not in {typ}", (t.line, t.col))
+                raise self.err(f"symbol {v!r} not in {typ}", k)
             return v
         if isinstance(typ, SeqType):
             self.expect("[")
             items = []
             if not self.at("]"):
-                items.append(self.parse_value(typ.elem))
-                while self.at(","):
-                    self.next()
-                    items.append(self.parse_value(typ.elem))
+                items = self._list(lambda: self.parse_value(typ.elem))
             self.expect("]")
             return tuple(items)
         if isinstance(typ, RecType):
             self.expect("{")
             vals = []
-            for k, (fname, ftype) in enumerate(typ.fields):
-                if k:
+            for j, (fname, ftype) in enumerate(typ.fields):
+                if j:
                     self.expect(",")
                 got = self.ident()
                 if got != fname:
-                    raise LoadError(f"expected field {fname!r}, found {got!r}", (t.line, t.col))
+                    raise self.err(f"expected field {fname!r}, found {got!r}", k)
                 self.expect(":")
                 vals.append(self.parse_value(ftype))
             self.expect("}")
             return tuple(vals)
         if isinstance(typ, OptType):
-            if self.at("NONE"):
-                self.next()
+            if self.take("NONE"):
                 return None
             self.expect("SOME")
             return (self.parse_value(typ.inner),)
         raise AssertionError(typ)
 
     # -- expressions -------------------------------------------------------
-    def parse_expr(self) -> Expr:
-        return self._implies()
-
-    def _implies(self) -> Expr:
-        a = self._or()
-        if self.at("IMPLIES"):
-            self.next()
-            return BoolOp("IMPLIES", a, self._implies())
-        return a
-
-    def _or(self) -> Expr:
-        a = self._and()
-        while self.at("OR"):
-            self.next()
-            a = BoolOp("OR", a, self._and())
-        return a
-
-    def _and(self) -> Expr:
-        a = self._not()
-        while self.at("AND"):
-            self.next()
-            a = BoolOp("AND", a, self._not())
-        return a
-
-    def _not(self) -> Expr:
-        if self.at("NOT"):
-            self.next()
-            return NotE(self._not())
-        return self._cmp()
-
-    def _cmp(self) -> Expr:
-        a = self._arith()
-        t = self.peek().text
-        if t in ("=", "!=", "<", "<=", ">", ">="):
-            self.next()
-            return Cmp(t, a, self._arith())
-        if t == "IN":
-            self.next()
-            return ContainsE(self._arith(), a)
-        return a
-
-    def _arith(self) -> Expr:
-        a = self._term()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            a = Arith(op, a, self._term())
-        return a
-
-    def _term(self) -> Expr:
-        a = self._power()
-        while self.peek().text in ("*", "DIV", "MOD"):
-            op = self.next().text
-            a = Arith(op, a, self._power())
-        return a
-
-    def _power(self) -> Expr:
-        a = self._unary()
-        if self.at("^"):
-            self.next()
-            return Arith("^", a, self._power())
-        return a
-
-    def _unary(self) -> Expr:
-        if self.at("-"):
-            self.next()
-            return Neg(self._unary())
-        return self._postfix()
+    def parse_expr(self, lo: int = 1) -> Expr:
+        """An expression whose binary operators bind at least at `lo`, by
+        precedence climbing over `_BINARY` (Pratt, POPL 1973)."""
+        toks = self.toks
+        t = toks[self.i]
+        if t == "NOT" and lo <= 4:  # above 4, NOT reads as a name
+            self.i += 1
+            a, hi = NotE(self.parse_expr(4)), 3  # then only AND, OR, IMPLIES
+        elif t == "-":
+            self.i += 1
+            a, hi = Neg(self.parse_expr(9)), 8
+        else:
+            a, hi = self._postfix(), 8
+        while True:
+            op = toks[self.i]
+            b = _BINARY.get(op)
+            if b is None or not lo <= b[0] <= hi:
+                return a
+            self.i += 1
+            _, rlo, hi, build = b
+            a = build(op, a, self.parse_expr(rlo))
 
     def _postfix(self) -> Expr:
         a = self._atom()
         while True:
-            if self.at("["):
-                self.next()
-                idx = self.parse_expr()
+            if self.take("["):
+                a = Index(a, self.parse_expr())
                 self.expect("]")
-                a = Index(a, idx)
-            elif self.at("."):
-                self.next()
-                if self.at("["):
-                    self.next()
-                    key = self.parse_expr()
+            elif self.take("."):
+                if self.take("["):
+                    a = FieldDyn(a, self.parse_expr())
                     self.expect("]")
-                    a = FieldDyn(a, key)
                 else:
                     a = Field(a, self.ident())
             else:
@@ -404,76 +429,55 @@ class Parser:
 
     def _call(self, name: str, n: int) -> list[Expr]:
         self.expect("(")
-        args = [self.parse_expr()]
-        while self.at(","):
-            self.next()
-            args.append(self.parse_expr())
+        args = self._list(self.parse_expr)
         self.expect(")")
         if len(args) != n:
             raise self.err(f"{name} takes {n} arguments, got {len(args)}")
         return args
 
     def _atom(self) -> Expr:
-        t = self.peek()
-        if t.kind == "num":
-            return Lit(int(self.next().text))
-        if self.at("("):
-            self.next()
+        t = self.toks[self.i]
+        kind = token_kind(t)
+        if kind == "num":
+            self.i += 1
+            return Lit(int(t))
+        if t == "(":
+            self.i += 1
             e = self.parse_expr()
             self.expect(")")
             return e
-        if self.at("["):
-            self.next()
-            items = []
-            if not self.at("]"):
-                items.append(self.parse_expr())
-                while self.at(","):
-                    self.next()
-                    items.append(self.parse_expr())
+        if t == "[":
+            self.i += 1
+            items = [] if self.at("]") else self._list(self.parse_expr)
             self.expect("]")
             return MkSeq(tuple(items))
-        if self.at("{"):
-            self.next()
-            items = [(self.ident(), self._rec_field())]
-            while self.at(","):
-                self.next()
-                items.append((self.ident(), self._rec_field()))
+        if t == "{":
+            self.i += 1
+            items = self._list(lambda: (self.ident(), self._rec_field()))
             self.expect("}")
             return MkRec(tuple(items))
-        if t.kind != "id":
-            raise self.err(f"unexpected token {t.text!r} in expression")
-        name = self.next().text
-        if name == "true":
+        if kind != "id":
+            raise self.err(f"unexpected token {t!r} in expression")
+        self.i += 1
+        if t in _CALLS:
+            cls, n = _CALLS[t]
+            return cls(*self._call(t, n))
+        if t == "true":
             return Lit(True)
-        if name == "false":
+        if t == "false":
             return Lit(False)
-        if name == "NONE":
+        if t == "NONE":
             return NoneLit()
-        if name == "SOME":
-            self.expect("(")
-            e = self.parse_expr()
-            self.expect(")")
-            return MkSome(e)
-        if name in ("ALL", "ANY"):
+        if t == "SOME":
+            return MkSome(self._enclosed("(", self.parse_expr, ")"))
+        if t in ("ALL", "ANY"):
             var = self.ident()
             self.expect("<")
-            bound = self._arith()
+            bound = self.parse_expr(6)  # arithmetic only
             self.expect(":")
-            body = self._implies()
-            return (ForallLt if name == "ALL" else ExistsLt)(var, bound, body)
-        if name == "LEN":
-            return Len(*self._call("LEN", 1))
-        if name == "APPEND":
-            return AppendE(*self._call("APPEND", 2))
-        if name == "UPDATE":
-            return UpdateE(*self._call("UPDATE", 3))
-        if name == "REMOVE":
-            return RemoveE(*self._call("REMOVE", 2))
-        if name == "HEAD":
-            return HeadE(*self._call("HEAD", 1))
-        if name == "TAIL":
-            return TailE(*self._call("TAIL", 1))
-        if name == "SETFIELD":
+            body = self.parse_expr()
+            return (ForallLt if t == "ALL" else ExistsLt)(var, bound, body)
+        if t == "SETFIELD":
             self.expect("(")
             rec = self.parse_expr()
             self.expect(",")
@@ -482,16 +486,7 @@ class Parser:
             val = self.parse_expr()
             self.expect(")")
             return RecWith(rec, fname, val)
-        if name == "SETFIELDAT":
-            args = self._call("SETFIELDAT", 3)
-            return RecWithDyn(*args)
-        if name == "ISSOME":
-            return IsSome(*self._call("ISSOME", 1))
-        if name == "THE":
-            return TheOpt(*self._call("THE", 1))
-        if name == "COND":
-            return CondE(*self._call("COND", 3))
-        return Var(name)
+        return Var(t)
 
     def _rec_field(self) -> Expr:
         self.expect(":")
@@ -499,29 +494,19 @@ class Parser:
 
     # -- programs ----------------------------------------------------------
     def parse_stmt(self):
-        parts = [self._stmt_atom()]
-        while self.at(";;"):
-            self.next()
-            parts.append(self._stmt_atom())
+        parts = self._list(self._stmt_atom, ";;")
         out = parts[-1]
         for p in reversed(parts[:-1]):
             out = PSeq(p, out)
         return out
 
     def _assign_list(self) -> tuple:
-        if self.at("("):
-            self.next()
-            vars_ = [self.ident()]
-            while self.at(","):
-                self.next()
-                vars_.append(self.ident())
+        if self.take("("):
+            vars_ = self._list(self.ident)
             self.expect(")")
             self.expect(":=")
             self.expect("(")
-            exprs = [self.parse_expr()]
-            while self.at(","):
-                self.next()
-                exprs.append(self.parse_expr())
+            exprs = self._list(self.parse_expr)
             self.expect(")")
             if len(vars_) != len(exprs):
                 raise self.err("multi-assignment arity mismatch")
@@ -531,42 +516,39 @@ class Parser:
         return ((v, self.parse_expr()),)
 
     def _stmt_atom(self):
-        t = self.peek()
-        if self.at("SKIP"):
-            self.next()
+        t = self.toks[self.i]
+        if t == "SKIP":
+            self.i += 1
             return Basic(())
-        if self.at("IF"):
-            self.next()
+        if t == "IF":
+            self.i += 1
             cond = self.parse_expr()
             self.expect("THEN")
             then = self.parse_stmt()
-            other = Basic(())
-            if self.at("ELSE"):
-                self.next()
-                other = self.parse_stmt()
+            other = self.parse_stmt() if self.take("ELSE") else Basic(())
             self.expect("FI")
-            return Cond(self._mkset(cond), then, other)
-        if self.at("WHILE"):
-            self.next()
+            return Cond(cond, then, other)
+        if t == "WHILE":
+            self.i += 1
             cond = self.parse_expr()
             self.expect("DO")
             body = self.parse_stmt()
             self.expect("OD")
-            return While(self._mkset(cond), body)
-        if self.at("AWAIT"):
-            self.next()
+            return While(cond, body)
+        if t == "AWAIT":
+            self.i += 1
             cond = self.parse_expr()
             self.expect("THEN")
             body = self.parse_stmt()
             self.expect("END")
-            return Await(self._mkset(cond), body)
-        if self.at("ATOM"):
-            self.next()
+            return Await(cond, body)
+        if t == "ATOM":
+            self.i += 1
             body = self.parse_stmt()
             self.expect("END")
-            return Await(self._mkset(Lit(True)), body)
-        if self.at("FOR"):
-            self.next()
+            return Await(Lit(True), body)
+        if t == "FOR":
+            self.i += 1
             init = Basic(self._assign_list())
             self.expect(";")
             cond = self.parse_expr()
@@ -575,193 +557,167 @@ class Parser:
             self.expect("DO")
             body = self.parse_stmt()
             self.expect("ROF")
-            return PSeq(init, While(self._mkset(cond), PSeq(body, inc)))
-        if t.kind == "id" or self.at("("):
+            return PSeq(init, While(cond, PSeq(body, inc)))
+        if t == "(" or token_kind(t) == "id":
             return Basic(self._assign_list())
-        raise self.err(f"unexpected token {t.text!r} in program")
-
-    def _mkset(self, e: Expr) -> Expr:
-        return e  # converted to a StateSet after the schema is known
+        raise self.err(f"unexpected token {t!r} in program")
 
     # -- whole files ---------------------------------------------------
     def parse_pcm(self) -> ModelFile:
         self.expect("MODEL")
         name = self.ident()
         adapter = "imp"
-        schema: Schema | None = None
-        mf: ModelFile | None = None
-        pending: list[tuple] = []
-
-        def need_mf() -> ModelFile:
-            nonlocal mf
-            if mf is None:
-                raise self.err("SCHEMA (or BUDDY) must precede other sections")
-            return mf
-
-        while not self.peek().kind == "eof":
-            t = self.peek()
-            if self.at("ADAPTER"):
-                self.next()
+        while self.toks[self.i]:
+            k = self.i
+            kw = self.next()
+            if kw == "ADAPTER":
                 adapter = self.ident()
                 if adapter not in ADAPTERS:
-                    raise LoadError(f"unknown adapter {adapter!r}", (t.line, t.col))
-                if mf is not None:
-                    mf.adapter_name = adapter
-            elif self.at("SCHEMA"):
-                self.next()
-                decls = []
-                while not self.at("END"):
-                    vname = self.ident()
-                    self.expect(":")
-                    vtype = self.parse_type()
-                    self.expect("INIT")
-                    vinit = self.parse_value(vtype)
-                    decls.append((vname, vtype, vinit))
-                self.expect("END")
-                schema = Schema(decls)
-                mf = ModelFile(name, adapter, schema)
-            elif self.at("BUDDY"):
-                self.next()
-                mf = self._parse_buddy_section(name)
-            elif self.at("SET"):
-                self.next()
-                sname = self.ident()
-                self.expect(":=")
-                m = need_mf()
-                with self.located(self.peek()):
-                    m.sets[sname] = StateSet(m.schema, self.parse_expr())
-                m.source_order.append(("SET", sname))
-            elif self.at("REL"):
-                self.next()
-                rname = self.ident()
-                self.expect(":=")
-                m = need_mf()
-                m.rels[rname] = self._parse_rel(m.schema)
-                m.source_order.append(("REL", rname))
-            elif self.at("RGSPEC"):
-                self.next()
-                gname = self.ident()
-                self.expect(":=")
-                m = need_mf()
-                self.expect("PRE")
-                pre = self._set_ref(m)
-                self.expect("RELY")
-                rely = self._rel_ref(m)
-                self.expect("GUAR")
-                guar = self._rel_ref(m)
-                self.expect("POST")
-                post = self._set_ref(m)
-                m.rgspecs[gname] = RGSpec(pre, rely, guar, post)
-                m.source_order.append(("RGSPEC", gname))
-            elif self.at("PROGRAM"):
-                self.next()
-                pname = self.ident()
-                self.expect(":=")
-                m = need_mf()
-                with self.located(self.peek()):
-                    prog = self._finalize_prog(self.parse_stmt(), m.schema)
-                m.programs[pname] = prog
-                m.source_order.append(("PROGRAM", pname))
-            elif self.at("EVENT"):
-                self.next()
-                m = need_mf()
-                self.event_at[self.peek().text] = self.peek()
-                ename = self.ident()
-                params: list = []
-                if self.at("("):
-                    self.next()
-                    if not self.at(")"):
-                        params.append(self._event_param())
-                        while self.at(","):
-                            self.next()
-                            params.append(self._event_param())
-                    self.expect(")")
-                self.expect("WHEN")
-                guard = self.parse_expr()
-                self.expect("THEN")
-                # Bodies keep raw expression guards until parameter
-                # expansion; each expanded instance is checked then.
-                body = self.parse_stmt()
-                self.expect("END")
-                m.events[ename] = EventTemplate(ename, tuple(params), guard, body)
-                m.source_order.append(("EVENT", ename))
-            elif self.at("ESYS"):
-                self.next()
-                m = need_mf()
-                sname = self.ident()
-                self.expect(":=")
-                m.esystems[sname] = self._parse_esys(m)
-                m.source_order.append(("ESYS", sname))
-            elif self.at("PES"):
-                self.next()
-                m = need_mf()
-                pname = self.ident()
-                self.expect(":=")
-                self.expect("{")
-                systems = []
-                systems.append(self._pes_entry(m))
-                while self.at(","):
-                    self.next()
-                    systems.append(self._pes_entry(m))
-                self.expect("}")
-                m.pes[pname] = ParallelEventSystem(tuple(systems))
-                m.source_order.append(("PES", pname))
-            elif self.at("OUTLINE"):
-                self.next()
-                m = need_mf()
-                oname = self.ident()
-                self.expect(":=")
-                m.outlines[oname] = self._parse_outline(m)
-                m.source_order.append(("OUTLINE", oname))
+                    raise self.err(f"unknown adapter {adapter!r}", k)
+                if self.mf is not None:
+                    self.mf.adapter_name = adapter
+            elif kw == "SCHEMA":
+                self.mf = ModelFile(name, adapter, Schema(self._decls()))
+            elif kw == "BUDDY":
+                self.mf = self._parse_buddy_section(name)
+            elif kw in self._SECTIONS:
+                defined = self._SECTIONS[kw](self)
+                self.mf.source_order.append((kw, defined))
             else:
-                raise self.err(f"unexpected section {t.text!r}")
-        if mf is None:
-            mf = ModelFile(name, adapter, Schema([]))
-        return mf
+                raise self.err(f"unexpected section {kw!r}", k)
+        if self.mf is None:
+            return ModelFile(name, adapter, Schema([]))
+        return self.mf
+
+    def _decls(self) -> list[tuple]:
+        """`name : type INIT value` declarations up to END."""
+        decls = []
+        while not self.take("END"):
+            vname = self.ident()
+            self.expect(":")
+            vtype = self.parse_type()
+            self.expect("INIT")
+            decls.append((vname, vtype, self.parse_value(vtype)))
+        return decls
+
+    def _model(self) -> ModelFile:
+        if self.mf is None:
+            raise self.err("SCHEMA (or BUDDY) must precede other sections")
+        return self.mf
+
+    def _defined(self, model_first: bool = False) -> tuple[str, ModelFile]:
+        """The `name :=` that opens a section, and the model it defines the
+        name in.  ESYS, PES and OUTLINE look for the model first."""
+        m = self._model() if model_first else None
+        name = self.ident()
+        self.expect(":=")
+        return name, m or self._model()
+
+    def _set_section(self) -> str:
+        name, m = self._defined()
+        with self.located(self.i):
+            m.sets[name] = StateSet(m.schema, self.parse_expr())
+        return name
+
+    def _rel_section(self) -> str:
+        name, m = self._defined()
+        m.rels[name] = self._parse_rel(m.schema)
+        return name
+
+    def _rgspec_section(self) -> str:
+        name, m = self._defined()
+        self.expect("PRE")
+        pre = self._set_ref(m)
+        self.expect("RELY")
+        rely = self._ref(m.rels, "relation")
+        self.expect("GUAR")
+        guar = self._ref(m.rels, "relation")
+        self.expect("POST")
+        m.rgspecs[name] = RGSpec(pre, rely, guar, self._set_ref(m))
+        return name
+
+    def _program_section(self) -> str:
+        name, m = self._defined()
+        with self.located(self.i):
+            prog = _bind_sets(self.parse_stmt(), m.schema)
+            check_program(m.schema, prog)
+        m.programs[name] = prog
+        return name
+
+    def _event_section(self) -> str:
+        m = self._model()
+        self.event_at[self.toks[self.i]] = self.i
+        name = self.ident()
+        params: list = []
+        if self.take("("):
+            if not self.at(")"):
+                params = self._list(self._event_param)
+            self.expect(")")
+        self.expect("WHEN")
+        guard = self.parse_expr()
+        self.expect("THEN")
+        # Bodies keep raw expression guards until parameter expansion;
+        # each expanded instance is checked then.
+        body = self.parse_stmt()
+        self.expect("END")
+        m.events[name] = EventTemplate(name, tuple(params), guard, body)
+        return name
+
+    def _esys_section(self) -> str:
+        name, m = self._defined(model_first=True)
+        m.esystems[name] = self._es_choice(m)
+        return name
+
+    def _pes_section(self) -> str:
+        name, m = self._defined(model_first=True)
+        self.expect("{")
+        systems = self._list(lambda: self._pes_entry(m))
+        self.expect("}")
+        m.pes[name] = ParallelEventSystem(tuple(systems))
+        return name
+
+    def _outline_section(self) -> str:
+        name, m = self._defined(model_first=True)
+        m.outlines[name] = self._parse_outline(m)
+        return name
+
+    # The sections that define one name; each returns it for `source_order`.
+    _SECTIONS = {
+        "SET": _set_section,
+        "REL": _rel_section,
+        "RGSPEC": _rgspec_section,
+        "PROGRAM": _program_section,
+        "EVENT": _event_section,
+        "ESYS": _esys_section,
+        "PES": _pes_section,
+        "OUTLINE": _outline_section,
+    }
 
     def _event_param(self):
         pname = self.ident()
         self.expect(":")
         ptype = self.parse_type()
         values = None
-        if self.at("VALUES"):
-            self.next()
-            values = [self.parse_value(ptype)]
-            while self.at(","):
-                self.next()
-                values.append(self.parse_value(ptype))
-            values = tuple(values)
+        if self.take("VALUES"):
+            values = tuple(self._list(lambda: self.parse_value(ptype)))
         return (pname, ptype, values)
 
     def _parse_buddy_section(self, name: str) -> ModelFile:
         from .buddy import BuddyDims, build_kernel_model
 
         kw: dict[str, Any] = {}
-        while not self.at("END"):
+        while not self.take("END"):
             key = self.ident()
             if key in ("n_max", "n_levels", "max_sz", "tick_max"):
                 kw[key] = self.parse_int()
             elif key == "threads":
-                vals = [self.ident()]
-                while self.at(","):
-                    self.next()
-                    vals.append(self.ident())
-                kw["threads"] = tuple(vals)
+                kw["threads"] = tuple(self._list(self.ident))
             elif key in ("alloc_sizes", "timeouts"):
-                vals = [self.parse_int()]
-                while self.at(","):
-                    self.next()
-                    vals.append(self.parse_int())
-                kw[key] = tuple(vals)
+                kw[key] = tuple(self._list(self.parse_int))
             elif key == "free_blocks":
-                blocks = [self._pair()]
-                while self.at(","):
-                    self.next()
-                    blocks.append(self._pair())
-                kw["free_blocks"] = tuple(blocks)
+                kw["free_blocks"] = tuple(self._list(self._pair))
             else:
                 raise self.err(f"unknown BUDDY key {key!r}")
-        self.expect("END")
         model = build_kernel_model(BuddyDims(**kw))
         mf = ModelFile(name, "imp", model.layout.schema)
         mf.buddy = model
@@ -786,118 +742,79 @@ class Parser:
         return (a, b)
 
     def _parse_rel(self, schema: Schema) -> RelDesc:
-        if self.at("UNIV"):
-            self.next()
+        if self.take("UNIV"):
             return univ_rel(schema)
-        if self.at("FULL"):
-            self.next()
+        if self.take("FULL"):
             return full_rel(schema)
         includes_identity = False
         rules = []
-        while True:
-            if self.at("ID"):
-                self.next()
+        while not self.take("END"):
+            if self.take("ID"):
                 includes_identity = True
-            elif self.at("RULE"):
-                self.next()
+            elif self.take("RULE"):
                 self.expect("WHEN")
-                with self.located(self.peek()):
+                with self.located(self.i):
                     guard = StateSet(schema, self.parse_expr())
                 self.expect("DO")
-                with self.located(self.peek()):
-                    assigns = self._assign_list()
-                    while self.at(";"):
-                        self.next()
-                        assigns = assigns + self._assign_list()
+                with self.located(self.i):
+                    assigns = sum(self._list(self._assign_list, ";"), ())
                     rule = RelRule(guard, assigns)
                 self.expect("END")
                 rules.append(rule)
-            elif self.at("END"):
-                self.next()
-                break
             else:
                 raise self.err("expected ID, RULE or END in relation")
         return RelDesc(schema, "rules", tuple(rules), includes_identity)
 
+    def _ref(self, table: dict, what: str):
+        """The entry of `table` named by the next token."""
+        n = self.ident()
+        if n not in table:
+            raise self.err(f"unknown {what} {n!r}")
+        return table[n]
+
     def _set_ref(self, m: ModelFile) -> StateSet:
-        if self.at("["):
-            self.next()
-            with self.located(self.peek()):
+        if self.take("["):
+            with self.located(self.i):
                 ss = StateSet(m.schema, self.parse_expr())
             self.expect("]")
             return ss
-        n = self.ident()
-        if n not in m.sets:
-            raise self.err(f"unknown set {n!r}")
-        return m.sets[n]
-
-    def _rel_ref(self, m: ModelFile) -> RelDesc:
-        n = self.ident()
-        if n not in m.rels:
-            raise self.err(f"unknown relation {n!r}")
-        return m.rels[n]
-
-    def _spec_ref(self, m: ModelFile) -> RGSpec:
-        n = self.ident()
-        if n not in m.rgspecs:
-            raise self.err(f"unknown rely-guarantee spec {n!r}")
-        return m.rgspecs[n]
-
-    def _finalize_prog(self, p, schema: Schema):
-        out = _bind_sets(p, schema)
-        check_program(schema, out)
-        return out
-
-    def _parse_esys(self, m: ModelFile) -> EventSystem:
-        return self._es_choice(m)
+        return self._ref(m.sets, "set")
 
     def _es_choice(self, m: ModelFile) -> EventSystem:
         a = self._es_join(m)
-        if self.at("CHOICE"):
-            self.next()
-            return EsChoice(a, self._es_choice(m))
-        return a
+        return EsChoice(a, self._es_choice(m)) if self.take("CHOICE") else a
 
     def _es_join(self, m: ModelFile) -> EventSystem:
         a = self._es_seq(m)
-        if self.at("JOIN"):
-            self.next()
-            return EsJoin(a, self._es_join(m))
-        return a
+        return EsJoin(a, self._es_join(m)) if self.take("JOIN") else a
 
     def _es_seq(self, m: ModelFile) -> EventSystem:
         a = self._es_atom(m)
-        if self.at(";;"):
-            self.next()
-            return EsSeq(a, self._es_seq(m))
-        return a
+        return EsSeq(a, self._es_seq(m)) if self.take(";;") else a
 
     def _es_atom(self, m: ModelFile) -> EventSystem:
-        if self.at("FIN"):
-            self.next()
+        t = self.toks[self.i]
+        if t == "FIN":
+            self.i += 1
             return FIN
-        if self.at("("):
-            self.next()
+        if t == "(":
+            self.i += 1
             e = self._es_choice(m)
             self.expect(")")
             return e
-        if self.at("EVT") or self.at("AEVT"):
-            atomic = self.at("AEVT")
-            self.next()
+        if t in ("EVT", "AEVT"):
+            self.i += 1
             ename = self.ident()
             if ename not in m.events:
                 raise self.err(f"unknown event {ename!r}")
             with self.located(self.event_at[ename]):
                 evset = _expand_named(m, ename)
-            return EsAtomic(evset) if atomic else EsBasic(evset)
-        if self.at("TRG"):
-            self.next()
-            pname = self.ident()
-            if pname not in m.programs:
-                raise self.err(f"unknown program {pname!r}")
-            return EsTriggered(m.programs[pname])
-        if self.at("LOOP"):
-            self.next()
+            return EsAtomic(evset) if t == "AEVT" else EsBasic(evset)
+        if t == "TRG":
+            self.i += 1
+            return EsTriggered(self._ref(m.programs, "program"))
+        if t == "LOOP":
+            self.i += 1
             cond = self._set_ref(m)
             self.expect("(")
             body = self._es_choice(m)
@@ -908,90 +825,59 @@ class Parser:
     def _pes_entry(self, m: ModelFile) -> tuple[str, EventSystem]:
         key = self.ident()
         self.expect(":")
-        sname = self.ident()
-        if sname not in m.esystems:
-            raise self.err(f"unknown event system {sname!r}")
-        return (key, m.esystems[sname])
+        return (key, self._ref(m.esystems, "event system"))
+
+    def _spec_ref(self, m: ModelFile) -> RGSpec:
+        return self._ref(m.rgspecs, "rely-guarantee spec")
+
+    def _outline_pair(self, m: ModelFile) -> tuple[Outline, Outline]:
+        """`(left, right)` of a binary outline node."""
+        self.expect("(")
+        left = self._parse_outline(m)
+        self.expect(",")
+        right = self._parse_outline(m)
+        self.expect(")")
+        return left, right
 
     def _parse_outline(self, m: ModelFile) -> Outline:
-        t = self.peek()
-        if self.at("BASICEVT"):
-            self.next()
+        t = self.next()
+        if t == "BASICEVT":
             return BasicEvtNode()
-        if self.at("ATOMEVT"):
-            self.next()
+        if t == "ATOMEVT":
             return AtomEvtNode()
-        if self.at("TRGEVT"):
-            self.next()
+        if t == "TRGEVT":
             return TrgEvtNode()
-        if self.at("SEQ"):
-            self.next()
-            self.expect("[")
-            mid = self._set_ref(m)
-            self.expect("]")
-            self.expect("(")
-            left = self._parse_outline(m)
-            self.expect(",")
-            right = self._parse_outline(m)
-            self.expect(")")
-            return SeqNode(mid, left, right)
-        if self.at("CHOICE"):
-            self.next()
-            self.expect("(")
-            left = self._parse_outline(m)
-            self.expect(",")
-            right = self._parse_outline(m)
-            self.expect(")")
-            return ChoiceNode(left, right)
-        if self.at("JOIN"):
-            self.next()
+        if t == "SEQ":
+            mid = self._enclosed("[", lambda: self._set_ref(m), "]")
+            return SeqNode(mid, *self._outline_pair(m))
+        if t == "CHOICE":
+            return ChoiceNode(*self._outline_pair(m))
+        if t == "JOIN":
             self.expect("[")
             s1 = self._spec_ref(m)
             self.expect(",")
             s2 = self._spec_ref(m)
             self.expect("]")
-            self.expect("(")
-            left = self._parse_outline(m)
-            self.expect(",")
-            right = self._parse_outline(m)
-            self.expect(")")
-            return JoinNode(s1, s2, left, right)
-        if self.at("ITER"):
-            self.next()
-            self.expect("[")
-            inv = self._set_ref(m)
-            self.expect("]")
-            self.expect("(")
-            body = self._parse_outline(m)
-            self.expect(")")
-            return IterNode(inv, body)
-        if self.at("CONSEQ"):
-            self.next()
-            self.expect("[")
-            inner = self._spec_ref(m)
-            self.expect("]")
-            self.expect("(")
-            child = self._parse_outline(m)
-            self.expect(")")
-            return ConseqNode(inner, child)
-        if self.at("PAR"):
-            self.next()
+            return JoinNode(s1, s2, *self._outline_pair(m))
+        if t == "ITER":
+            inv = self._enclosed("[", lambda: self._set_ref(m), "]")
+            return IterNode(inv, self._enclosed("(", lambda: self._parse_outline(m), ")"))
+        if t == "CONSEQ":
+            inner = self._enclosed("[", lambda: self._spec_ref(m), "]")
+            return ConseqNode(inner, self._enclosed("(", lambda: self._parse_outline(m), ")"))
+        if t == "PAR":
             self.expect("{")
             specs, children = [], []
             while True:
                 key = self.ident()
                 self.expect(":")
                 specs.append((key, self._spec_ref(m)))
-                self.expect("(")
-                children.append((key, self._parse_outline(m)))
-                self.expect(")")
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+                children.append((key, self._enclosed("(", lambda: self._parse_outline(m), ")")))
+                if not self.take(","):
+                    break
             self.expect("}")
             return ParNode(tuple(specs), tuple(children))
-        raise LoadError(f"expected an outline, found {t.text!r}", (t.line, t.col))
+        raise self.err(f"expected an outline, found {t!r}", self.i - 1)
 
     # -- BPEL files ---------------------------------------------------
     def parse_bpc(self) -> BpelFile:
@@ -1000,88 +886,54 @@ class Parser:
         store: list = []
         links: tuple[str, ...] = ()
         tick_max = 3
-        acts: list[tuple[str, Any]] = []
-        while self.peek().kind != "eof":
-            if self.at("SCHEMA"):
-                self.next()
-                while not self.at("END"):
-                    vname = self.ident()
-                    self.expect(":")
-                    vtype = self.parse_type()
-                    self.expect("INIT")
-                    vinit = self.parse_value(vtype)
-                    store.append((vname, vtype, vinit))
-                self.expect("END")
-            elif self.at("LINKS"):
-                self.next()
-                ls = [self.ident()]
-                while self.at(","):
-                    self.next()
-                    ls.append(self.ident())
-                links = tuple(ls)
-            elif self.at("TICKMAX"):
-                self.next()
+        acts: list[tuple[str, int, Any]] = []
+        while self.toks[self.i]:
+            k = self.i
+            kw = self.next()
+            if kw == "SCHEMA":
+                store += self._decls()
+            elif kw == "LINKS":
+                links = tuple(self._list(self.ident))
+            elif kw == "TICKMAX":
                 tick_max = self.parse_int()
-            elif self.at("ACTIVITY"):
-                self.next()
+            elif kw == "ACTIVITY":
                 aname = self.ident()
                 self.expect(":=")
-                acts.append((aname, self.peek(), self._parse_activity()))
+                acts.append((aname, self.i, self._parse_activity()))
             else:
-                raise self.err(f"unexpected section {self.peek().text!r}")
+                raise self.err(f"unexpected section {kw!r}", k)
         schema = bp.make_bpel_schema(store, list(links), tick_max)
         bctx = bp.BpelCtx(Ctx(AdapterContext(schema), IMP_ADAPTER), links)
         bf = BpelFile(name, bctx, store, links, tick_max)
-        for aname, t, a in acts:
-            with self.located(t):
+        for aname, k, a in acts:
+            with self.located(k):
                 bp.check_activity(bctx, a, top=True)
             bf.activities[aname] = a
         return bf
 
     def _parse_fe(self) -> bp.FlowEle:
         targets = sources = None
-        if self.at("TARGETS"):
-            self.next()
+        if self.take("TARGETS"):
             self.expect("(")
-            jc = None
-            if self.at("-"):
-                self.next()
-            else:
-                jc = self.parse_expr()
+            jc = None if self.take("-") else self.parse_expr()
             self.expect(";")
-            links = []
-            if not self.at(")"):
-                links.append(self.ident())
-                while self.at(","):
-                    self.next()
-                    links.append(self.ident())
+            links = [] if self.at(")") else self._list(self.ident)
             self.expect(")")
             targets = (jc, tuple(links))
-        if self.at("SOURCES"):
-            self.next()
-            self.expect("(")
-            src = []
-            l = self.ident()
-            self.expect(":")
-            src.append((l, self.parse_expr()))
-            while self.at(","):
-                self.next()
-                l = self.ident()
-                self.expect(":")
-                src.append((l, self.parse_expr()))
-            self.expect(")")
-            sources = tuple(src)
+        if self.take("SOURCES"):
+            sources = tuple(self._enclosed("(", lambda: self._list(self._source), ")"))
         return bp.FlowEle(targets, sources)
 
+    def _source(self) -> tuple[str, Expr]:
+        link = self.ident()
+        self.expect(":")
+        return (link, self.parse_expr())
+
     def _parse_spec_map(self) -> tuple:
-        if not self.at("SPEC"):
+        if not self.take("SPEC"):
             return ()
-        self.next()
         self.expect("{")
-        out = [self._spec_one()]
-        while self.at(","):
-            self.next()
-            out.append(self._spec_one())
+        out = self._list(self._spec_one)
         self.expect("}")
         return tuple(out)
 
@@ -1101,92 +953,66 @@ class Parser:
         return a, b, c
 
     def _braced_activity(self) -> bp.Activity:
-        self.expect("{")
-        a = self._parse_activity()
-        self.expect("}")
-        return a
+        return self._enclosed("{", self._parse_activity, "}")
 
     def _parse_activity(self) -> bp.Activity:
-        t = self.peek()
-        if self.at("FIN"):
-            self.next()
+        t = self.next()
+        if t == "FIN":
             return bp.ACT_FIN
-        if self.at("INVOKE"):
-            self.next()
+        if t == "INVOKE":
             ptl, ptt, op = self._svc_triple()
             fe = self._parse_fe()
             spec = self._parse_spec_map()
             catches = []
-            while self.at("CATCH"):
-                self.next()
+            while self.take("CATCH"):
                 fault = self.ident()
                 catches.append((fault, self._braced_activity()))
             self.expect("CATCHALL")
             catchall = self._braced_activity()
             return bp.Invoke(fe, ptl, ptt, op, spec, tuple(catches), catchall)
-        if self.at("RECEIVE"):
-            self.next()
+        if t == "RECEIVE":
             ptl, ptt, op = self._svc_triple()
             fe = self._parse_fe()
-            spec = self._parse_spec_map()
-            return bp.Receive(fe, ptl, ptt, op, spec)
-        if self.at("REPLY"):
-            self.next()
+            return bp.Receive(fe, ptl, ptt, op, self._parse_spec_map())
+        if t == "REPLY":
             ptl, ptt, op = self._svc_triple()
             return bp.Reply(self._parse_fe(), ptl, ptt, op)
-        if self.at("ASSIGN"):
-            self.next()
+        if t == "ASSIGN":
             fe = self._parse_fe()
             return bp.Assign(fe, self._parse_spec_map())
-        if self.at("WAIT"):
-            self.next()
+        if t == "WAIT":
             time = self.parse_int()
             return bp.Wait(self._parse_fe(), time)
-        if self.at("EMPTY"):
-            self.next()
+        if t == "EMPTY":
             return bp.Empty(self._parse_fe())
-        if self.at("SEQ"):
-            self.next()
+        if t == "SEQ":
             return bp.ASeq(self._braced_activity(), self._braced_activity())
-        if self.at("IF"):
-            self.next()
+        if t == "IF":
             cond = self.parse_expr()
             return bp.AIf(cond, self._braced_activity(), self._braced_activity())
-        if self.at("WHILE"):
-            self.next()
+        if t == "WHILE":
             cond = self.parse_expr()
             return bp.AWhile(cond, self._braced_activity())
-        if self.at("REPEATUNTIL"):
-            self.next()
+        if t == "REPEATUNTIL":
             cond = self.parse_expr()
             return bp.repeat_until(cond, self._braced_activity())
-        if self.at("FOREACH"):
-            self.next()
+        if t == "FOREACH":
             m = self.parse_int()
             n = self.parse_int()
             return bp.for_each(m, n, self._braced_activity())
-        if self.at("FLOW"):
-            self.next()
+        if t == "FLOW":
             return bp.AFlow(self._braced_activity(), self._braced_activity())
-        if self.at("PICK"):
-            self.next()
-            self.expect("{")
-            h1 = self._parse_handler()
-            self.expect("}")
-            self.expect("{")
-            h2 = self._parse_handler()
-            self.expect("}")
-            return bp.APick(h1, h2)
-        raise LoadError(f"expected an activity, found {t.text!r}", (t.line, t.col))
+        if t == "PICK":
+            h1 = self._enclosed("{", self._parse_handler, "}")
+            return bp.APick(h1, self._enclosed("{", self._parse_handler, "}"))
+        raise self.err(f"expected an activity, found {t!r}", self.i - 1)
 
     def _parse_handler(self) -> bp.EventHandler:
-        if self.at("ONMESSAGE"):
-            self.next()
+        if self.take("ONMESSAGE"):
             ptl, ptt, op = self._svc_triple()
             spec = self._parse_spec_map()
             return bp.OnMessage(ptl, ptt, op, spec, self._braced_activity())
-        if self.at("ONALARM"):
-            self.next()
+        if self.take("ONALARM"):
             time = self.parse_int()
             return bp.OnAlarm(time, self._braced_activity())
         raise self.err("expected ONMESSAGE or ONALARM")
@@ -1210,15 +1036,19 @@ def _bind_sets(p, schema: Schema):
     raise LoadError(f"not a program: {p!r}")
 
 
-def _expand_named(m: ModelFile, ename: str):
+def _expand_event(template: EventTemplate, schema: Schema):
     evset = expand_events(
-        m.events[ename],
-        m.schema,
-        lambda body, env: _bind_sets(subst_program(body, env), m.schema),
+        template, schema, lambda body, env: _bind_sets(subst_program(body, env), schema)
     )
     for inst in evset.instances:
-        check_program(m.schema, inst.body)
+        check_program(schema, inst.body)
     return evset
+
+
+def _expand_named(m: ModelFile, ename: str):
+    """The checked event set of event `ename`, expanded once per event
+    template and schema however often the model refers to it."""
+    return _compiled(m.events[ename], "_expanded", m.schema, _expand_event)
 
 
 def parse_pcm(text: str) -> ModelFile:

@@ -23,6 +23,7 @@ from .exprs import (
     Lit,
     NotE,
     Var,
+    _compiled,
     check_expr,
     compile_expr,
     free_vars,
@@ -300,7 +301,7 @@ def solve_states(
             elif isinstance(c.b, Var) and c.b.name in schema.index and _closed(c.a):
                 var, rhs = c.b.name, c.a
             if var is not None and var not in pinned:
-                pinned[var] = compile_expr(rhs, schema)(schema.initial_state(), [])
+                pinned[var] = _compiled(rhs, "_fn", schema, compile_expr)(schema.initial_state(), [])
 
     mentioned = sorted(
         v for v in free_vars(pre.expr) if v in schema.index and v not in pinned

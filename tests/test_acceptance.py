@@ -13,6 +13,7 @@ import time
 import pytest
 
 from conftest import corpus_path
+from paper_defs import computation_valid, in_assume
 import rgkit.bpel as bp
 from rgkit.adapters import (
     AdapterContext,
@@ -33,13 +34,11 @@ from rgkit.checker import (
     check_validity,
     check_validity_pes,
     full_universe,
-    in_assume,
     soundness_crosscheck,
 )
 from rgkit.computations import (
     MODULAR_RULES,
     check_linear_modular_equiv,
-    computation_valid,
     cpts_linear,
     cpts_modular,
 )

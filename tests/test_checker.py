@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import corpus_path
+from paper_defs import computation_valid, in_assume, in_commit
 from rgkit import checker
 from rgkit.adapters import AdapterContext, Basic, IMP_ADAPTER
 from rgkit.checker import (
@@ -16,13 +17,11 @@ from rgkit.checker import (
     check_validity,
     check_validity_pes,
     full_universe,
-    in_assume,
-    in_commit,
     prove,
     soundness_crosscheck,
     stable,
 )
-from rgkit.computations import Computation, computation_valid
+from rgkit.computations import Computation
 from rgkit.events import (
     EsBasic,
     EsIter,
@@ -442,7 +441,6 @@ def test_validity_exact_vs_computation_enumeration():
     validity agrees with the event-level wrap of the same program."""
     from rgkit.adapters import prog_validity
     from rgkit.computations import cpts_linear
-    from rgkit.checker import in_assume, in_commit
     from rgkit.events import EsTriggered
     from rgkit.relations import solve_states
 

@@ -5,6 +5,8 @@ import os
 import pytest
 
 from conftest import corpus_path
+from paper_defs import computation_valid, dump_computations, lift_seq_cpt
+from rgkit import relations
 from rgkit.adapters import (
     AdapterContext,
     AwaitDivergence,
@@ -21,10 +23,8 @@ from rgkit.computations import (
     _Table,
     check_linear_modular_equiv,
     comp_kind,
-    computation_valid,
     cpts_linear,
     cpts_modular,
-    lift_seq_cpt,
 )
 from rgkit.events import (
     ActionLabel,
@@ -374,8 +374,6 @@ def test_computation_replay():
 
 
 def test_dump_computations_deterministic():
-    from rgkit.computations import dump_computations
-
     schema, ctx = mk()
     es = one_event(schema)
     s = schema.state(x=0)
@@ -422,6 +420,28 @@ def test_enumerators_match_reference(name):
             want = reference_equiv(ctx, es, mf.sets["init0"], full, ml, disabled, sets)
             v = check_linear_modular_equiv(ctx, es, mf.sets["init0"], full, ml, disabled=disabled)
             assert (v.result, v.clause, v.witness, v.detail) == want, (ml, rule)
+
+
+def test_pinned_initial_values_compile_once(monkeypatch):
+    """`solve_states` compiles the value `pre` pins a variable to once per
+    node and schema: a second check of the same system compiles it no
+    more."""
+    mf = load(corpus_path("cpts_suite.pcm"))
+    ctx, e04, init0, full = mf.ctx(), mf.esystems["e04"], mf.sets["init0"], mf.rels["full"]
+    pin = init0.expr.b  # the 0 of `x = 0`
+    compiled = []
+    real = relations.compile_expr
+
+    def counting(e, schema):
+        compiled.append(e)
+        return real(e, schema)
+
+    monkeypatch.setattr(relations, "compile_expr", counting)
+    assert not check_linear_modular_equiv(ctx, e04, init0, full, 5).failed
+    assert any(e is pin for e in compiled)
+    compiled.clear()
+    assert not check_linear_modular_equiv(ctx, e04, init0, full, 5).failed
+    assert not any(e is pin for e in compiled)
 
 
 def test_cpts_modular_leaves_no_cyclic_garbage():

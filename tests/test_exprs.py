@@ -39,6 +39,7 @@ from rgkit.exprs import (
     compile_expr,
     render_expr,
 )
+from rgkit.modelfile import Parser
 from rgkit.values import (
     BoolType,
     IntType,
@@ -273,10 +274,54 @@ def test_compiled_agrees_with_oracle_on_every_node(s):
         assert repr(got) == repr(eval_expr(e, ORACLE_SCHEMA, s)), render_expr(e)
 
 
-def test_render_parses_back(xschema):
-    from rgkit.modelfile import Parser
+def _as_parsed(e):
+    """`e` as the parser builds it from `render_expr(e)`: a literal has no
+    explicit type, a symbol literal reads as a name, and minus before a
+    non-negative integer literal reads as a negative literal."""
+    if isinstance(e, Lit):
+        return Var(e.value) if isinstance(e.value, str) else Lit(e.value)
+    if isinstance(e, Neg) and isinstance(e.a, Lit) and type(e.a.value) is int and e.a.value >= 0:
+        return Lit(-e.a.value)
+    kids = {}
+    for f in dataclasses.fields(e):
+        v = getattr(e, f.name)
+        if isinstance(v, NODE_CLASSES):
+            kids[f.name] = _as_parsed(v)
+        elif isinstance(v, tuple):  # MkSeq items, MkRec (name, value) fields
+            kids[f.name] = tuple(
+                (i[0], _as_parsed(i[1])) if isinstance(i, tuple) else _as_parsed(i) for i in v
+            )
+    return dataclasses.replace(e, **kids)
 
-    for e in EXPRS:
+
+def test_render_parses_back():
+    for e in EXPRS + ORACLE_EXPRS:
         text = render_expr(e)
-        again = Parser(text).parse_expr()
-        assert again == e, text
+        assert Parser(text).parse_expr() == _as_parsed(e), text
+
+
+_OPERANDS = st.sampled_from([x, flag, xs]) | st.integers(-3, 3).map(Lit)
+OPERATOR_TREES = st.recursive(
+    _OPERANDS,
+    lambda kids: st.one_of(
+        st.builds(Arith, st.sampled_from(ARITH_OPS), kids, kids),
+        st.builds(Cmp, st.sampled_from(CMP_OPS), kids, kids),
+        st.builds(BoolOp, st.sampled_from(BOOL_OPS), kids, kids),
+        st.builds(ContainsE, kids, kids),
+        st.builds(NotE, kids),
+        st.builds(Neg, kids),
+    ),
+    max_leaves=12,
+)
+
+
+@given(e=OPERATOR_TREES)
+@example(e=BoolOp("IMPLIES", BoolOp("IMPLIES", x, flag), x))
+@example(e=Arith("^", Arith("^", x, Lit(2)), Lit(3)))
+@example(e=NotE(Cmp("=", Cmp("<", x, Lit(1)), flag)))
+@example(e=Neg(Arith("^", Neg(x), Lit(2))))
+def test_operator_trees_parse_back(e):
+    """Precedence and associativity: rendering any tree of operators and
+    parsing the text back gives the tree."""
+    text = render_expr(e)
+    assert Parser(text).parse_expr() == _as_parsed(e), text

@@ -1,7 +1,23 @@
-import pytest
+import functools
+import json
 
+import pytest
+from hypothesis import example, given, strategies as st
+
+import record_load_errors
+import token_oracle
 from conftest import corpus_path
-from rgkit.modelfile import Parser, load, parse_bpc, parse_pcm, serialize, serialize_bpel
+from rgkit.modelfile import (
+    Parser,
+    load,
+    parse_bpc,
+    parse_pcm,
+    serialize,
+    serialize_bpel,
+    token_kind,
+    token_position,
+    tokenize,
+)
 from rgkit.values import LoadError
 
 PCM_FILES = [
@@ -168,3 +184,61 @@ def test_bpel_activity_checks_give_positions():
     with pytest.raises(LoadError) as ei:
         parse_bpc(text)
     assert str(ei.value) == "7:15: undeclared variable 'z'"
+
+
+@functools.cache
+def _golden() -> dict:
+    with open(record_load_errors.GOLDEN, encoding="utf-8") as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("name", record_load_errors.corpus_files())
+def test_corrupted_corpus_loads_match_golden(name):
+    """Truncated, token-deleted, stray-character and odd-whitespace copies
+    of each corpus file fail with the recorded message and line:col, or
+    load to the recorded model (see tests/record_load_errors.py)."""
+    cases, _ = record_load_errors.outcomes(name, record_load_errors.corpus_text(name))
+    assert cases == _golden()["cases"][name]
+
+
+def _tokens(text: str):
+    """(kind, text, line, col) of every token, or the LoadError's text."""
+    try:
+        toks = tokenize(text)
+    except LoadError as e:
+        return str(e)
+    return [(token_kind(t), t, *token_position(text, k)) for k, t in enumerate(toks)]
+
+
+def _oracle_tokens(text: str):
+    try:
+        toks = token_oracle.tokenize(text)
+    except LoadError as e:
+        return str(e)
+    return [(t.kind, t.text, t.line, t.col) for t in toks]
+
+
+@pytest.mark.parametrize("name", record_load_errors.corpus_files())
+def test_tokenizer_matches_oracle_on_corpus(name):
+    text = record_load_errors.corpus_text(name)
+    assert _tokens(text) == _oracle_tokens(text)
+
+
+_PIECES = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True),
+    st.from_regex(r"-?[0-9]{1,3}", fullmatch=True),
+    st.sampled_from([":=", ";;", "..", "!=", "<=", ">=", "->", *"()[]{}:,;.=<>+-*^@|!"]),
+    st.from_regex(r"#[^\n]{0,6}", fullmatch=True),
+    st.sampled_from([" ", "\n", "\t", "\r", "\r\n", "\x0b", "\x0c", "\u00a0", "\u2028"]),
+    # Stray characters; the Arabic-Indic digit three is a \d.
+    st.sampled_from(["$", '"', "'", "?", "~", "\\", "`", "\u00e9", "\u0663"]),
+)
+
+
+@given(text=st.lists(_PIECES, max_size=24).map("".join))
+@example(text="x-1->y..z")
+@example(text="a # $ comment\r\n\u00a0$")
+def test_tokenizer_matches_oracle(text):
+    """The same kinds, texts and positions as the reference tokenizer, or
+    the same error."""
+    assert _tokens(text) == _oracle_tokens(text)
