@@ -10,7 +10,10 @@ Two assumptions are imposed on every adapter and tested exhaustively by
 
 Two reference adapters live here: an IMP-style structured language and a
 relation-style explicit transition system, which exists to demonstrate the
-interface is language-agnostic.
+interface is language-agnostic.  `prog_validity` checks a program against a
+rely-guarantee spec as the triggered event EsTriggered(p), whose
+configuration (EsTriggered(q), s) is the program configuration (q, s), on
+the one explorer, `semantics.build_graph`.
 
 IMP is deterministic: `imp_step` returns at most one successor, by
 induction on the program (`Basic`, `Cond` and `While` give one, `PSeq` as
@@ -25,6 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
+from .events import EsTriggered
 from .exprs import Cmp, Expr, Lit, Var, _compiled, _memo, _node, render_expr, substitute
 from .relations import RGSpec, StateSet, compile_assigns, check_assigns, solve_states, true_set
 from .values import BoolType, DomainOverflow, IntType, LoadError, Schema
@@ -517,8 +521,7 @@ def conformance_suite(
 
 
 # ----------------------------------------------------------------------
-# Program-level rely-guarantee validity: exact reachability over the
-# program's configuration graph under the constructive rely.
+# Program-level rely-guarantee validity, on the event-system explorer.
 # ----------------------------------------------------------------------
 
 
@@ -533,7 +536,11 @@ def prog_validity(
 ) -> Verdict:
     """PASS iff every computation of `p` from pre under rely satisfies
     commit(guar, post).  Exact on finite instances; FAIL carries a minimal
-    counterexample trace."""
+    counterexample trace.  The checks observe `build_graph` on
+    EsTriggered(p): at each pop the budget test, then the post test at
+    `FIN`, and the guar test on each comp successor before it is added."""
+    from . import semantics  # semantics imports this module
+
     check = "prog-validity"
     try:
         if init_states is None:
@@ -541,67 +548,33 @@ def prog_validity(
     except DomainOverflow as d:
         return diag(check, "state-explosion", detail={"cause": str(d)})
 
-    parents: dict = {}
-    node_kind: dict = {}
-    seen: set = set()
-    work: deque = deque()
-    for s in init_states:
-        c = (p, s)
-        if c not in seen:
-            seen.add(c)
-            parents[c] = None
-            work.append(c)
+    state = ctx.schema.state_to_dict
+    stop: list = []  # the verdict of the check that stopped the build, given the graph
 
-    def trace_to(conf) -> list:
-        path = []
-        cur = conf
-        while cur is not None:
-            path.append((cur, node_kind.get(cur)))
-            cur = parents[cur]
-        path.reverse()
-        return [
-            {"program": render_program(c[0]), "state": ctx.schema.state_to_dict(c[1]), "via": via}
-            for c, via in path
-        ]
+    def trace(g, idx: int, *last) -> list:
+        confs = [(g.nodes[i], via) for i, via, _ in g.path_to(idx)] + list(last)
+        return [{"program": render_program(es.prog), "state": state(s), "via": via}
+                for (es, s), via in confs]
+
+    def on_expand(idx, n, es, s):
+        if n > budget:
+            stop.append(lambda g: diag(check, "state-explosion", detail={"nodes": n}))
+        elif es.prog is None and not spec.post.holds(s):
+            stop.append(lambda g: fail(check, "post-violation", node_count=g.node_count, witness={
+                "trace": trace(g, idx), "final_state": state(s)}))
+        return stop
+
+    def on_comp(idx, s, es2, t):
+        if not spec.guar.contains(s, t):
+            stop.append(lambda g: fail(check, "guar-violation", node_count=g.node_count, witness={
+                "trace": trace(g, idx, ((es2, t), "comp")), "pair": [state(s), state(t)]}))
+        return stop
 
     try:
-        while work:
-            prog, s = work.popleft()
-            if len(seen) > budget:
-                return diag(check, "state-explosion", detail={"nodes": len(seen)})
-            if prog is None and not spec.post.holds(s):
-                return fail(
-                    check,
-                    "post-violation",
-                    witness={"trace": trace_to((prog, s)), "final_state": ctx.schema.state_to_dict(s)},
-                    node_count=len(seen),
-                )
-            if prog is not None:
-                for q, t in adapter.step(ctx, prog, s):
-                    if not spec.guar.contains(s, t):
-                        w = trace_to((prog, s))
-                        w.append({"program": render_program(q), "state": ctx.schema.state_to_dict(t), "via": "comp"})
-                        return fail(
-                            check,
-                            "guar-violation",
-                            witness={"trace": w, "pair": [ctx.schema.state_to_dict(s), ctx.schema.state_to_dict(t)]},
-                            node_count=len(seen),
-                        )
-                    c = (q, t)
-                    if c not in seen:
-                        seen.add(c)
-                        parents[c] = (prog, s)
-                        node_kind[c] = "comp"
-                        work.append(c)
-            for t in spec.rely.successors(s):
-                c = (prog, t)
-                if c not in seen:
-                    seen.add(c)
-                    parents[c] = (prog, s)
-                    node_kind[c] = "env"
-                    work.append(c)
+        g = semantics.build_graph(semantics.Ctx(ctx, adapter), EsTriggered(p), None, spec.rely,
+                                  init_states, float("inf"), on_expand=on_expand, on_comp=on_comp)
     except AwaitDivergence as d:
         return diag(check, "await-divergence", detail={"where": d.where})
     except DomainOverflow as d:
         return diag(check, "domain-overflow", detail={"assignment": f"{d.var} <- {d.value!r}"})
-    return ok(check, node_count=len(seen))
+    return stop[0](g) if stop else ok(check, node_count=g.node_count)

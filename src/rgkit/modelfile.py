@@ -405,10 +405,14 @@ class Parser:
             a, hi = self._postfix(), 8
         while True:
             op = toks[self.i]
-            b = _BINARY.get(op)
+            minus = op[:1] == "-" and op[1:2].isdecimal()  # "x-1" lexes as x, -1
+            b = _BINARY.get("-" if minus else op)
             if b is None or not lo <= b[0] <= hi:
                 return a
-            self.i += 1
+            if minus:  # a binary minus; its digits stay as the next token
+                op, toks[self.i] = "-", op[1:]
+            else:
+                self.i += 1
             _, rlo, hi, build = b
             a = build(op, a, self.parse_expr(rlo))
 

@@ -9,7 +9,8 @@ environment steps drawn from a constructive rely, producing the finite
 quotient every semantic check in the toolkit works on.  The checks scan
 it through `first_bad_node` and `first_bad_edge`, which find the first
 node or comp edge, in graph order, that fails a test, asking the test
-once per state id or pair of state ids.
+once per state id or pair of state ids; or they observe the build and
+stop it at the first failure, as the program obligations do.
 """
 
 from __future__ import annotations
@@ -469,6 +470,10 @@ def first_bad_edge(
     return None, Counter({v: cell[0] for v, cell in cells.items()})
 
 
+class _Stop(Exception):
+    """An observer of `build_graph` stopped the build."""
+
+
 def build_graph(
     ctx: Ctx,
     root: Spec,
@@ -477,11 +482,20 @@ def build_graph(
     init_states: list[tuple] | None = None,
     budget: int = 1_000_000,
     init_mode: str = "default",
+    *,
+    on_expand: Callable[[int, int, Spec, tuple], Any] | None = None,
+    on_comp: Callable[[int, tuple, Spec, tuple], Any] | None = None,
 ) -> ConfigGraph:
     """Least fixed point of {initials} under comp and env edges.
 
     Raises DomainOverflow (wrapped by callers into a state-explosion
     diagnostic) when the node budget is exceeded.
+
+    A check can run inside the search as an observer.  `on_expand(idx, n,
+    spec, s)` runs when node idx, (spec, s), is popped, with n nodes so
+    far; `on_comp(idx, s, spec2, t)` runs before each comp successor of
+    node idx is added.  A truthy return stops the build and returns the
+    graph built so far, without that successor; `path_to` works on it.
 
     The build hash-conses states, specs, labels, a parallel root's
     sub-systems and its threads, the (k, sub id) pairs, to small ints in
@@ -549,32 +563,39 @@ def build_graph(
         initials.append(add(p0, si, -1, -1) if idx is None else idx)
 
     idx = 0
-    while idx < len(node_spec):
-        p, si = node_spec[idx], node_state[idx]
-        spec, s = specs[p], states[si]
-        if is_pes:
-            succs = step_pes(ctx, spec, s, tables, p, si)
-        else:
-            succs = [(label_id(lbl), spec_id(spec2), state_id(t))
-                     for lbl, spec2, t in step_es(ctx, spec, s, "es")]
-        for lbl, p2, t in succs:
-            jdx = index[p2].get(t)
-            if jdx is None:
-                jdx = add(p2, t, idx, lbl)
-            comp_src.append(idx)
-            comp_label.append(lbl)
-            comp_dst.append(jdx)
-        env = env_succs.get(si)
-        if env is None:
-            env = env_succs[si] = [state_id(t) for t in rely.successors(s)]
-        part = index[p]
-        for t in env:
-            jdx = part.get(t)
-            if jdx is None:
-                jdx = add(p, t, idx, -1)
-            env_src.append(idx)
-            env_dst.append(jdx)
-        idx += 1
+    try:
+        while idx < len(node_spec):
+            p, si = node_spec[idx], node_state[idx]
+            spec, s = specs[p], states[si]
+            if on_expand is not None and on_expand(idx, len(node_spec), spec, s):
+                raise _Stop
+            if is_pes:
+                succs = step_pes(ctx, spec, s, tables, p, si)
+            else:
+                succs = [(label_id(lbl), spec_id(spec2), state_id(t))
+                         for lbl, spec2, t in step_es(ctx, spec, s, "es")]
+            for lbl, p2, t in succs:
+                if on_comp is not None and on_comp(idx, s, specs[p2], states[t]):
+                    raise _Stop
+                jdx = index[p2].get(t)
+                if jdx is None:
+                    jdx = add(p2, t, idx, lbl)
+                comp_src.append(idx)
+                comp_label.append(lbl)
+                comp_dst.append(jdx)
+            env = env_succs.get(si)
+            if env is None:
+                env = env_succs[si] = [state_id(t) for t in rely.successors(s)]
+            part = index[p]
+            for t in env:
+                jdx = part.get(t)
+                if jdx is None:
+                    jdx = add(p, t, idx, -1)
+                env_src.append(idx)
+                env_dst.append(jdx)
+            idx += 1
+    except _Stop:
+        pass
 
     return ConfigGraph(specs, states, tables.label.objs, node_spec, node_state,
                        comp_src, comp_label, comp_dst, env_src, env_dst, initials, parent, via)

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from conftest import CORPUS
+from prog_validity_oracle import prog_validity as reference_prog_validity
 from rgkit import adapters, semantics
 from rgkit.adapters import (
     AdapterContext,
@@ -25,9 +26,10 @@ from rgkit.adapters import (
     render_program,
     terminal_states,
 )
+from rgkit.events import EsAtomic, EsBasic, EsIter, EsTriggered, ParallelEventSystem
 from rgkit.exprs import Arith, Cmp, Lit, Var
 from rgkit.modelfile import load
-from rgkit.relations import RGSpec, RelDesc, RelRule, StateSet, identity_rel, true_set
+from rgkit.relations import RGSpec, RelDesc, RelRule, StateSet, identity_rel, solve_states, true_set
 from rgkit.semantics import build_graph
 from rgkit.values import DomainOverflow, IntType, LoadError, Schema
 
@@ -235,6 +237,111 @@ def test_rel_machine_steps():
     assert q1 == RelAt(m, "b") and t1 == s.state(x=1)
     [(q2, t2)] = rel_step(c, q1, t1)
     assert q2 is None and t2 == s.state(x=2)
+
+
+# ----------------------------------------------------------------------
+# prog_validity on build_graph against its old private search.
+# ----------------------------------------------------------------------
+
+
+def corpus_programs(m) -> list:
+    """The PROGRAMs of a model, the bodies of the expanded instances of its
+    basic and atomic events, and its TRG programs, without repeats."""
+    out = list(m.programs.values())
+
+    def walk(es):
+        if isinstance(es, ParallelEventSystem):
+            for _, sub in es.systems:
+                walk(sub)
+        elif isinstance(es, (EsBasic, EsAtomic)):
+            out.extend(inst.body for inst in es.events.instances)
+        elif isinstance(es, EsTriggered):
+            if es.prog is not None:
+                out.append(es.prog)
+        elif isinstance(es, EsIter):
+            walk(es.body)
+        else:  # EsSeq, EsChoice, EsJoin
+            walk(es.a)
+            walk(es.b)
+
+    for es in [*m.esystems.values(), *m.pes.values()]:
+        walk(es)
+    return list(dict.fromkeys(out))
+
+
+def assert_matches_reference(c, adapter, p, spec) -> list:
+    """prog_validity equals the reference on every field, for budgets 0-29
+    and the default, with the initial states in solver order and reversed.
+    Returns the verdicts."""
+    try:
+        inits = solve_states(spec.pre)
+    except DomainOverflow:
+        orders = [None]
+    else:
+        orders = [None, inits[::-1]]
+    budgets = [{"budget": b} for b in range(30)] + [{}]
+    verdicts = []
+    for init_states in orders:
+        for kw in budgets:
+            v = prog_validity(c, adapter, p, spec, init_states=init_states, **kw)
+            assert v == reference_prog_validity(c, adapter, p, spec, init_states=init_states, **kw)
+            verdicts.append(v)
+    return verdicts
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CORPUS, "*.pcm"))),
+                         ids=os.path.basename)
+def test_prog_validity_matches_reference_on_corpus(path):
+    m = load(path)
+    c = m.ctx()
+    kinds = set()
+    for p in corpus_programs(m):
+        for spec in m.rgspecs.values():
+            kinds |= {(v.result, v.clause) for v in assert_matches_reference(c.actx, c.adapter, p, spec)}
+    if m.rgspecs:  # the corpus reaches every verdict but the exceptional ones
+        assert kinds == {("PASS", None), ("FAIL", "guar-violation"), ("FAIL", "post-violation"),
+                         ("DIAGNOSTIC", "state-explosion")}
+
+
+def guar_rules(s, *values):
+    """The guarantee: x may be set to any of `values`, or stay."""
+    return RelDesc(s, "rules", rules=tuple(RelRule(true_set(s), (("x", Lit(v)),)) for v in values),
+                   includes_identity=True)
+
+
+def test_prog_validity_matches_reference_off_corpus():
+    s = schema()
+    c = ctx()
+    x0, any_x = xset("=", 0, s), true_set(s)
+
+    def rel_prog(*edges):
+        return RelAt(make_rel_machine(s, "m", edges, "end"), "a")
+
+    # the second successor fails guar after the first added a node
+    fork = rel_prog(("a", any_x, (("x", Lit(1)),), "b"), ("a", any_x, (("x", Lit(2)),), "end"),
+                    ("b", any_x, (("x", Lit(3)),), "end"))
+    spec = RGSpec(x0, identity_rel(s), guar_rules(s, 1, 3), any_x)
+    [*_, v] = assert_matches_reference(c, REL_ADAPTER, fork, spec)
+    assert v.clause == "guar-violation" and v.node_count == 2
+    assert [e["via"] for e in v.witness["trace"]] == [None, "comp"]
+    # duplicate successors, passing and failing guar
+    twice = rel_prog(("a", any_x, (("x", Lit(1)),), "end"), ("a", any_x, (("x", Lit(1)),), "end"))
+    for guar, want in [(guar_rules(s, 1), "PASS"), (identity_rel(s), "FAIL")]:
+        [*_, v] = assert_matches_reference(c, REL_ADAPTER, twice, RGSpec(x0, identity_rel(s), guar, any_x))
+        assert v.result == want
+    # AWAIT divergence, and an assignment out of its domain after an env step
+    spin = Await(any_x, While(any_x, Basic((("x", Lit(1)),))))
+    inc = Basic((("x", Arith("+", Var("x"), Lit(1))),))
+    env4 = RelDesc(s, "rules", rules=(RelRule(any_x, (("x", Lit(4)),)),), includes_identity=True)
+    for p, rely, want in [(spin, identity_rel(s), "await-divergence"), (inc, env4, "domain-overflow")]:
+        vs = assert_matches_reference(c, IMP_ADAPTER, p, RGSpec(x0, rely, guar_rules(s, 1, 2, 3, 4), any_x))
+        assert {v.clause for v in vs} == {want, "state-explosion"} and vs[-1].clause == want
+    # a precondition too large to solve
+    big = Schema([("x", IntType(0, 4), 0), ("y", IntType(0, 300_000), 0)])
+    pre = StateSet(big, Cmp(">=", Var("y"), Lit(0)))
+    [*_, v] = assert_matches_reference(AdapterContext(big), IMP_ADAPTER, Basic(()),
+                                       RGSpec(pre, identity_rel(big), identity_rel(big), true_set(big)))
+    assert v.clause == "state-explosion" and "cause" in v.detail
 
 
 # ----------------------------------------------------------------------

@@ -111,6 +111,39 @@ def test_expression_precedence():
     assert Parser(render_expr(e)).parse_expr() == e
 
 
+@pytest.mark.parametrize("text, spaced", [
+    ("x-1", "x - 1"),
+    ("x-1-1", "x - 1 - 1"),
+    ("2*x-1", "2 * x - 1"),
+    ("x*-1", "x * -1"),
+    ("[1, -1]", "[1, -1]"),
+])
+def test_minus_integer_token_after_an_operand_is_binary_minus(text, spaced):
+    """The tokenizer reads "-1" as one integer; where an operator is
+    expected, the parser reads it as a binary minus and then 1."""
+    from rgkit.exprs import render_expr
+
+    p = Parser(text)
+    e = p.parse_expr()
+    assert p.toks[p.i] == ""
+    assert render_expr(e) == spaced
+    assert e == Parser(spaced).parse_expr()
+
+
+def test_minus_without_spaces_loads_and_formats():
+    text = """MODEL m
+ADAPTER imp
+SCHEMA
+  x : INT 0..3 INIT 0
+END
+SET s := x-1 = 0
+"""
+    m = parse_pcm(text)
+    assert m.sets["s"].holds(m.schema.state(x=1)) and not m.sets["s"].holds(m.schema.state(x=0))
+    assert "SET s := x - 1 = 0\n" in serialize(m)
+    assert "-1" in tokenize(text)  # the tokenizer is unchanged
+
+
 def test_program_roundtrip():
     text = """MODEL progs
 ADAPTER imp

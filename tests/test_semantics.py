@@ -221,6 +221,74 @@ def test_node_budget_exceeded():
         build_graph(ctx, es, pre, identity_rel(schema), budget=2)
 
 
+def observer_cases():
+    """(ctx, root, pre, rely, full graph) for an event system and a
+    parallel one, both with comp and env edges."""
+    m = load(os.path.join(CORPUS, "prove_suite.pcm"))
+    ctx = m.ctx()
+    for root in (m.esystems["s_join"], m.pes["par_xy"]):
+        args = (ctx, root, m.sets["x0y0"], m.rels["rely_y"])
+        yield args, build_graph(*args)
+
+
+def assert_prefix_of(g, full):
+    n = g.node_count
+    assert list(g.nodes) == list(full.nodes)[:n]
+    assert list(g.comp_edges) == list(full.comp_edges)[:len(g.comp_edges)]
+    assert list(g.env_edges) == list(full.env_edges)[:len(g.env_edges)]
+    assert list(g.initials) == list(full.initials)
+    assert [g.path_to(i) for i in range(n)] == [full.path_to(i) for i in range(n)]
+
+
+def test_build_graph_observers_that_never_stop_change_nothing():
+    for args, full in observer_cases():
+        expanded, comps = [], []
+        g = build_graph(*args, on_expand=lambda *a: expanded.append(a),
+                        on_comp=lambda *a: comps.append(a))
+        assert_prefix_of(g, full)
+        assert (g.node_count, len(g.comp_edges), len(g.env_edges)) == (
+            full.node_count, len(full.comp_edges), len(full.env_edges))
+        assert [(i, spec, s) for i, _, spec, s in expanded] == [(i, *c) for i, c in enumerate(full.nodes)]
+        # node i is popped after the nodes of the parents before it are added
+        assert [n for _, n, _, _ in expanded] == [
+            sum(p < i for p in full.parent) for i in range(full.node_count)]
+        assert comps == [(a, full.nodes[a][1], *full.nodes[b]) for a, _, b in full.comp_edges]
+
+
+def test_build_graph_stops_at_on_expand():
+    for args, full in observer_cases():
+        for k in range(full.node_count):
+            seen = []
+
+            def on_expand(idx, n, spec, s):
+                seen.append(n)
+                return idx == k
+
+            g = build_graph(*args, on_expand=on_expand)
+            assert g.node_count == seen[-1] and len(seen) == k + 1
+            assert all(src < k for src, _, _ in g.comp_edges)
+            assert all(src < k for src, _ in g.env_edges)
+            assert_prefix_of(g, full)
+
+
+def test_build_graph_stops_at_on_comp_without_adding_the_successor():
+    for args, full in observer_cases():
+        for e in range(len(full.comp_edges)):
+            calls = []
+            g = build_graph(*args, on_comp=lambda *a: calls.append(a) or len(calls) > e)
+            assert len(g.comp_edges) == e and len(calls) == e + 1
+            src = full.comp_src[e]
+            # the nodes found before edge e: the roots, the nodes that
+            # earlier-expanded nodes found, and those that earlier comp
+            # edges of `src` found; not the one edge e found, if any
+            before = [j for j in range(full.node_count)
+                      if full.parent[j] < src
+                      or (full.parent[j] == src and full.via[j] >= 0
+                          and any(full.comp_edges[f][::2] == (src, j) for f in range(e)))]
+            assert g.node_count == len(before) and before == list(range(len(before)))
+            assert_prefix_of(g, full)
+
+
 def test_dump_graph_deterministic():
     schema, ctx = mk()
     es = EsBasic(ev(schema))
