@@ -50,6 +50,18 @@ class AdapterContext:
     schema: Schema
 
 
+@dataclass(frozen=True)
+class Ctx:
+    """Static configuration shared by all checks on one model."""
+
+    actx: AdapterContext
+    adapter: ProgramAdapter
+
+    @property
+    def schema(self):
+        return self.actx.schema
+
+
 # ----------------------------------------------------------------------
 # IMP programs.  The terminal program is None.
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
-from .adapters import Basic, PSeq, compile_assigns
+from .adapters import Basic, Ctx, PSeq, compile_assigns
 from .events import (
     EsAtomic,
     EsChoice,
@@ -53,7 +53,7 @@ from .exprs import (
     render_expr,
 )
 from .relations import RelDesc, StateSet, check_assigns
-from .semantics import Ctx, step_es
+from .semantics import step_es
 from .computations import cpts_linear
 from .values import BoolType, IntType, LoadError, RecType, Schema
 from .verdicts import Verdict, diag, fail, ok
@@ -480,14 +480,16 @@ def fold_choice(items: list[EventSystem]) -> EventSystem:
 
 
 def compile_activity(
-    bctx: BpelCtx, b: Activity, mutation: str | None = None, _memo: dict | None = None
+    bctx: BpelCtx, b: Activity, mutation: str | None = None, memo: dict | None = None
 ) -> EventSystem:
     """Structurally recursive translation of an activity into an event
     system.  Total; output size is linear in input size times (1 + number
-    of catch handlers)."""
+    of catch handlers).  `memo` maps activities to their images under this
+    `bctx` and `mutation`; calls that pass the same dict share them."""
     if mutation is not None and mutation not in MUTATIONS:
         raise LoadError(f"unknown mutation {mutation!r}")
-    memo = _memo if _memo is not None else {}
+    if memo is None:
+        memo = {}
     key = b
     hit = memo.get(key)
     if hit is not None:
@@ -583,12 +585,14 @@ def _compile_handler(bctx: BpelCtx, h: EventHandler, mutation, memo) -> EventSys
 
 
 def check_compile_injective(
-    bctx: BpelCtx, activities: list[Activity], mutation: str | None = None
+    bctx: BpelCtx, activities: list[Activity], mutation: str | None = None,
+    memo: dict | None = None,
 ) -> Verdict:
     """PASS iff translation images of pairwise-distinct activities are
-    pairwise distinct (equal inputs exempt)."""
+    pairwise distinct (equal inputs exempt).  `memo` is as in
+    `compile_activity`."""
     check = "compile-injective"
-    memo: dict = {}
+    memo = {} if memo is None else memo
     images: dict[EventSystem, int] = {}
     for i, a in enumerate(activities):
         img = compile_activity(bctx, a, mutation, memo)
@@ -615,6 +619,7 @@ def check_bisim(
     mutation: str | None = None,
     budget: int = 200_000,
     env_rel: RelDesc | None = None,
+    memo: dict | None = None,
 ) -> Verdict:
     """Greatest-fixpoint bisimulation check on the finite product of
     activity derivatives and their translations, from (b0, compile(b0), s0).
@@ -624,9 +629,10 @@ def check_bisim(
     (clause 1 + the compile linkage clause 3), and conversely every
     event-system step must correspond to some BPEL step (clause 2).
     `env_rel` (the shared clock-advance rely) closes the explored pairs
-    under environment moves, which are identical on both sides."""
+    under environment moves, which are identical on both sides.  `memo`
+    is as in `compile_activity`."""
     check = "bisim"
-    memo: dict = {}
+    memo = {} if memo is None else memo
     comp = lambda a: compile_activity(bctx, a, mutation, memo)
     k = "bpel"
     start = (b0, s0)
@@ -715,12 +721,14 @@ def check_trace_equiv(
     rely_universe: RelDesc,
     max_len: int,
     mutation: str | None = None,
+    memo: dict | None = None,
 ) -> Verdict:
     """Bounded check of both inclusions of the trace-equivalence
     definition: the translation images of the BPEL computations must be
-    exactly the configuration sequences of the event-system computations."""
+    exactly the configuration sequences of the event-system computations.
+    `memo` is as in `compile_activity`."""
     check = "trace-equiv"
-    memo: dict = {}
+    memo = {} if memo is None else memo
     comp = lambda a: compile_activity(bctx, a, mutation, memo)
     btraces = bpel_computations(bctx, b0, s0, rely_universe, max_len)
     bimg = {tuple((comp(bi), si) for bi, si in tr) for tr in btraces}

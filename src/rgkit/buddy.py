@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .adapters import AdapterContext, Await, Basic, Cond, IMP_ADAPTER, PSeq, While
+from .adapters import AdapterContext, Await, Basic, Cond, Ctx, IMP_ADAPTER, PSeq, While
 from .events import (
     EsAtomic,
     EsBasic,
@@ -63,7 +63,6 @@ from .exprs import (
     Var,
 )
 from .relations import RelDesc, RelRule, StateSet
-from .semantics import Ctx
 from .values import (
     BoolType,
     IntType,
@@ -181,13 +180,24 @@ def inv_bitmapn(dims: BuddyDims, bits: list[tuple[str, ...]]) -> bool:
 
 def mem_part(dims: BuddyDims, bits: list[tuple[str, ...]]) -> bool:
     """Every relative address is covered by exactly one existing block;
-    block (i, j) covers [j * (max_sz / 4^i), (j + 1) * (max_sz / 4^i))."""
-    for addr in range(dims.total_bytes()):
+    block (i, j) covers [j * (max_sz / 4^i), (j + 1) * (max_sz / 4^i)).
+
+    An address's cover changes only where some level's block index
+    `addr // size` does, so one address per run of equal indices is
+    checked: the runs start at the multiples of each level size (at one
+    past them for a negative size)."""
+    total = dims.total_bytes()
+    if total <= 0:
+        return True
+    sizes = [dims.level_size(i) for i in range(dims.n_levels)]
+    if 0 in sizes:
+        return False
+    starts = {0}
+    for size in sizes:
+        starts.update(range(size, total, size) if size > 0 else range(1, total, -size))
+    for addr in sorted(starts):
         covered = 0
-        for i in range(dims.n_levels):
-            size = dims.level_size(i)
-            if size == 0:
-                return False
+        for i, size in enumerate(sizes):
             j = addr // size
             if j < len(bits[i]) and is_memblock(bits[i][j]):
                 covered += 1

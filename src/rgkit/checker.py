@@ -19,9 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from .adapters import prog_validity
+from .adapters import Ctx, prog_validity
 from .computations import ENV, Computation, comp_kind
 from .events import (
+    AtomEvtNode,
+    BasicEvtNode,
+    ChoiceNode,
+    ConseqNode,
     EsAtomic,
     EsBasic,
     EsChoice,
@@ -30,7 +34,13 @@ from .events import (
     EsSeq,
     EsTriggered,
     EventSystem,
+    IterNode,
+    JoinNode,
+    Outline,
     ParallelEventSystem,
+    ParNode,
+    SeqNode,
+    TrgEvtNode,
     is_fin,
     render_system,
 )
@@ -45,7 +55,7 @@ from .relations import (
     true_set,
     univ_rel,
 )
-from .semantics import ConfigGraph, Ctx, build_graph, first_bad_edge, first_bad_node, graph_diag
+from .semantics import ConfigGraph, build_graph, first_bad_edge, first_bad_node, graph_diag
 from .verdicts import Verdict, diag, fail, ok
 
 
@@ -203,71 +213,6 @@ def id_subset(guar: RelDesc, u: Universe) -> tuple[bool, Any]:
         if not guar.contains(s, s):
             return False, s
     return True, None
-
-
-# ----------------------------------------------------------------------
-# Proof outlines (one node per applied rule).
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BasicEvtNode:
-    pass
-
-
-@dataclass(frozen=True)
-class AtomEvtNode:
-    pass
-
-
-@dataclass(frozen=True)
-class TrgEvtNode:
-    pass
-
-
-@dataclass(frozen=True)
-class SeqNode:
-    mid: StateSet
-    left: "Outline"
-    right: "Outline"
-
-
-@dataclass(frozen=True)
-class ChoiceNode:
-    left: "Outline"
-    right: "Outline"
-
-
-@dataclass(frozen=True)
-class JoinNode:
-    spec1: RGSpec
-    spec2: RGSpec
-    left: "Outline"
-    right: "Outline"
-
-
-@dataclass(frozen=True)
-class IterNode:
-    inv: StateSet
-    body: "Outline"
-
-
-@dataclass(frozen=True)
-class ConseqNode:
-    inner: RGSpec
-    child: "Outline"
-
-
-@dataclass(frozen=True)
-class ParNode:
-    specs: tuple  # ((kappa, RGSpec), ...)
-    children: tuple  # ((kappa, Outline), ...)
-
-
-Outline = (
-    BasicEvtNode | AtomEvtNode | TrgEvtNode | SeqNode | ChoiceNode | JoinNode
-    | IterNode | ConseqNode | ParNode
-)
 
 
 @dataclass

@@ -15,19 +15,6 @@ import json
 import sys
 import time
 
-from . import bpel as bp
-from .buddy import BuddyDims, partition_theorem_oracle
-from .checker import (
-    check_invariant,
-    check_loop_variant,
-    check_validity,
-    check_validity_pes,
-    full_universe,
-    prove,
-    reachable_universe,
-    soundness_crosscheck,
-)
-from .computations import MODULAR_RULES, check_linear_modular_equiv
 from .events import ParallelEventSystem, render_system
 from .modelfile import BpelFile, ModelFile, load, serialize, serialize_bpel
 from .semantics import build_graph, dump_graph, graph_diag
@@ -120,6 +107,18 @@ def _named(table: dict, kind: str, name):
 
 
 def cmd_check(args, rep: Reporter) -> None:
+    from .checker import (
+        check_invariant,
+        check_loop_variant,
+        check_validity,
+        check_validity_pes,
+        full_universe,
+        prove,
+        reachable_universe,
+        soundness_crosscheck,
+    )
+    from .computations import MODULAR_RULES, check_linear_modular_equiv
+
     mf = _load_pcm(args.model)
     ctx = mf.ctx()
 
@@ -241,21 +240,24 @@ def cmd_graph_dump(args, rep: Reporter) -> None:
 
 
 def cmd_bpel(args, rep: Reporter) -> None:
+    from . import bpel as bp
+
     bf = _load_bpc(args.model)
     bctx = bf.bctx
     if args.activity:
         _named(bf.activities, "activity", args.activity)
     names = [args.activity] if args.activity else list(bf.activities)
+    memo: dict = {}  # translations shared by the checks; `inject` starts one per mutation
 
     if args.what == "compile":
         for name in names:
             act = bf.activities[name]
-            img = bp.compile_activity(bctx, act)
+            img = bp.compile_activity(bctx, act, memo=memo)
             rep.emit_raw({"record": "compiled", "activity": name, "image": render_system(img)})
         acts = [bf.activities[n] for n in names]
         if args.generate:
             acts = acts + bp.generate_activities(bctx, args.generate, seed=args.seed)
-        v = bp.check_compile_injective(bctx, acts)
+        v = bp.check_compile_injective(bctx, acts, memo=memo)
         v.detail["activities"] = len(acts)
         rep.emit(v, bf.name)
     elif args.what == "bisim":
@@ -263,9 +265,9 @@ def cmd_bpel(args, rep: Reporter) -> None:
         rely = _tick_rely(bf)
         for name in names:
             act = bf.activities[name]
-            v = bp.check_bisim(bctx, act, s0, budget=args.budget, env_rel=rely)
+            v = bp.check_bisim(bctx, act, s0, budget=args.budget, env_rel=rely, memo=memo)
             rep.emit(v, name)
-            v2 = bp.check_trace_equiv(bctx, act, s0, rely, args.max_len)
+            v2 = bp.check_trace_equiv(bctx, act, s0, rely, args.max_len, memo=memo)
             rep.emit(v2, name)
     elif args.what == "inject":
         s0 = bctx.schema.initial_state()
@@ -273,10 +275,13 @@ def cmd_bpel(args, rep: Reporter) -> None:
         mutations = [args.mutation] if args.mutation else sorted(bp.MUTATIONS)
         acts = [bf.activities[n] for n in names]
         for mutation in mutations:
-            vi = bp.check_compile_injective(bctx, acts, mutation=mutation)
+            memo = {}
+            vi = bp.check_compile_injective(bctx, acts, mutation=mutation, memo=memo)
             for name, act in zip(names, acts):
-                vb = bp.check_bisim(bctx, act, s0, mutation=mutation, budget=args.budget, env_rel=rely)
-                vt = bp.check_trace_equiv(bctx, act, s0, rely, args.max_len, mutation=mutation)
+                vb = bp.check_bisim(bctx, act, s0, mutation=mutation, budget=args.budget,
+                                    env_rel=rely, memo=memo)
+                vt = bp.check_trace_equiv(bctx, act, s0, rely, args.max_len, mutation=mutation,
+                                          memo=memo)
                 detected = vb.failed or vt.failed or vi.failed
                 v = Verdict(
                     "PASS" if detected else "FAIL",
@@ -313,6 +318,7 @@ def _tick_rely(bf: BpelFile):
 
 
 def cmd_demo_buddy(args, rep: Reporter) -> None:
+    from .buddy import BuddyDims
     from .buddy_checks import run_buddy_demo
 
     dims = BuddyDims(
@@ -323,6 +329,8 @@ def cmd_demo_buddy(args, rep: Reporter) -> None:
 
 
 def cmd_oracle(args, rep: Reporter) -> None:
+    from .buddy import BuddyDims, partition_theorem_oracle
+
     dims = BuddyDims(n_max=args.n_max, n_levels=args.n_levels,
                      max_sz=args.max_sz if args.max_sz else 4 * 4**args.n_levels)
     if not dims.consistent():

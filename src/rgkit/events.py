@@ -1,4 +1,5 @@
-"""Event-language abstract syntax: events, event systems, parallel systems.
+"""Event-language abstract syntax: events, event systems, parallel systems,
+and the proof outlines that follow their structure.
 
 The distinguished finished system FIN is the triggered terminal program;
 `is_fin` decides it.  Event sets are the exhaustive expansions of a
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .exprs import Expr, Lit, _node, substitute
-from .relations import StateSet
+from .relations import RGSpec, StateSet
 from .values import LoadError, Schema, Type, conforms, domain_iter, render_value
 
 
@@ -140,6 +141,71 @@ class ParallelEventSystem:
 
     def all_fin(self) -> bool:
         return all(is_fin(s) for _, s in self.systems)
+
+
+# ----------------------------------------------------------------------
+# Proof outlines (one node per applied rule), the input of `checker.prove`.
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BasicEvtNode:
+    pass
+
+
+@dataclass(frozen=True)
+class AtomEvtNode:
+    pass
+
+
+@dataclass(frozen=True)
+class TrgEvtNode:
+    pass
+
+
+@dataclass(frozen=True)
+class SeqNode:
+    mid: StateSet
+    left: "Outline"
+    right: "Outline"
+
+
+@dataclass(frozen=True)
+class ChoiceNode:
+    left: "Outline"
+    right: "Outline"
+
+
+@dataclass(frozen=True)
+class JoinNode:
+    spec1: RGSpec
+    spec2: RGSpec
+    left: "Outline"
+    right: "Outline"
+
+
+@dataclass(frozen=True)
+class IterNode:
+    inv: StateSet
+    body: "Outline"
+
+
+@dataclass(frozen=True)
+class ConseqNode:
+    inner: RGSpec
+    child: "Outline"
+
+
+@dataclass(frozen=True)
+class ParNode:
+    specs: tuple  # ((kappa, RGSpec), ...)
+    children: tuple  # ((kappa, Outline), ...)
+
+
+Outline = (
+    BasicEvtNode | AtomEvtNode | TrgEvtNode | SeqNode | ChoiceNode | JoinNode
+    | IterNode | ConseqNode | ParNode
+)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,10 @@ property-tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from functools import cache
+from inspect import formatannotation
+from types import FunctionType
 from typing import Any, Callable
 
 from .values import (
@@ -34,11 +37,64 @@ from .values import (
 Pos = tuple[int, int] | None
 
 
+@cache
+def _node_methods(names: tuple, post_init: bool):
+    """`__init__` and `__eq__` with the bodies `dataclass(frozen=True)`
+    generates, compiled once per field-name tuple and `__post_init__` flag."""
+    body = [f"    __node_set__(self, {n!r}, {n})" for n in names]
+    if post_init:
+        body.append("    self.__post_init__()")
+    mine = "".join(f"self.{n}," for n in names)
+    theirs = "".join(f"other.{n}," for n in names)
+    src = "\n".join([
+        f"def __init__(self{''.join(', ' + n for n in names)}):",
+        *(body or ["    pass"]),
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({mine}) == ({theirs})",
+        "    return NotImplemented",
+    ])
+    ns: dict = {}
+    exec(src, {"__node_set__": object.__setattr__}, ns)
+    return ns["__init__"], ns["__eq__"]
+
+
+def _node_repr(self) -> str:
+    # `__match_args__` lists every field of a node, in order.
+    args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+    return f"{self.__class__.__qualname__}({args})"
+
+
+def _node_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _node_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def _node(cls):
     """Frozen dataclass whose hash is computed once and cached on the
-    instance; the syntax nodes of every language in the toolkit use it."""
-    cls = dataclass(frozen=True)(cls)
-    names = [f.name for f in fields(cls)]
+    instance; the syntax nodes of every language in the toolkit use it.
+    `dataclass` builds only the field table here; the methods it would
+    generate per class are shared (see `_node_methods`)."""
+    if cls.__doc__ is None:  # what dataclass would write, without inspect.signature
+        ann = cls.__dict__.get("__annotations__", {})
+        params = [
+            f"{n}: {formatannotation(a)}" + (f" = {cls.__dict__[n]!r}" if n in cls.__dict__ else "")
+            for n, a in ann.items()
+        ]
+        cls.__doc__ = f"{cls.__name__}({', '.join(params)})"
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    fs = fields(cls)
+    names = tuple(f.name for f in fs)
+    init, eq = _node_methods(names, hasattr(cls, "__post_init__"))
+    defaults = tuple(f.default for f in fs if f.default is not MISSING)
+    init = FunctionType(init.__code__, init.__globals__, "__init__", defaults or None)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{f.name: f.type for f in fs}, "return": None}
+    cls.__init__, cls.__eq__, cls.__repr__ = init, eq, _node_repr
+    cls.__setattr__, cls.__delattr__ = _node_setattr, _node_delattr
 
     def __hash__(self):
         try:

@@ -20,7 +20,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
-from . import bpel as bp
 from .adapters import (
     ADAPTERS,
     IMP_ADAPTER,
@@ -28,25 +27,18 @@ from .adapters import (
     Await,
     Basic,
     Cond,
+    Ctx,
     PSeq,
     While,
     check_program,
     render_program,
     subst_program,
 )
-from .checker import (
+from .events import (
     AtomEvtNode,
     BasicEvtNode,
     ChoiceNode,
     ConseqNode,
-    IterNode,
-    JoinNode,
-    Outline,
-    ParNode,
-    SeqNode,
-    TrgEvtNode,
-)
-from .events import (
     EsAtomic,
     EsBasic,
     EsChoice,
@@ -57,7 +49,13 @@ from .events import (
     EventSystem,
     EventTemplate,
     FIN,
+    IterNode,
+    JoinNode,
+    Outline,
     ParallelEventSystem,
+    ParNode,
+    SeqNode,
+    TrgEvtNode,
     expand_events,
 )
 from .exprs import (
@@ -94,7 +92,6 @@ from .exprs import (
     render_expr,
 )
 from .relations import RGSpec, RelDesc, RelRule, StateSet, full_rel, univ_rel
-from .semantics import Ctx
 from .values import (
     BoolType,
     IntType,
@@ -885,6 +882,9 @@ class Parser:
 
     # -- BPEL files ---------------------------------------------------
     def parse_bpc(self) -> BpelFile:
+        global bp  # the BPEL front-end, which a .pcm load never needs
+        from . import bpel as bp
+
         self.expect("BPEL")
         name = self.ident()
         store: list = []
@@ -1281,6 +1281,8 @@ def _es_name(mf: ModelFile, s: EventSystem) -> str:
 
 
 def serialize_bpel(bf: BpelFile) -> str:
+    from .bpel import render_activity
+
     lines = [f"BPEL {bf.name}", "", "SCHEMA"]
     for n, t, v in bf.store_decls:
         lines.append(f"  {n} : {render_type(t)} INIT {render_value(v, t)}")
@@ -1292,5 +1294,5 @@ def serialize_bpel(bf: BpelFile) -> str:
     lines.append(f"TICKMAX {bf.tick_max}")
     for name, a in bf.activities.items():
         lines.append("")
-        lines.append(f"ACTIVITY {name} := {bp.render_activity(a)}")
+        lines.append(f"ACTIVITY {name} := {render_activity(a)}")
     return "\n".join(lines) + "\n"

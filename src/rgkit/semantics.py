@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import compress, count
 from typing import Any
 
-from .adapters import AdapterContext, AwaitDivergence, ProgramAdapter, terminal_states
+from .adapters import AwaitDivergence, Ctx, terminal_states
 from .events import (
     ActionLabel,
     EsAtomic,
@@ -54,18 +54,6 @@ class AtomDivergence(Exception):
     def __init__(self, label: str):
         self.label = label
         super().__init__(f"atom-divergence in {label}")
-
-
-@dataclass(frozen=True)
-class Ctx:
-    """Static configuration shared by all checks on one model."""
-
-    actx: AdapterContext
-    adapter: ProgramAdapter
-
-    @property
-    def schema(self):
-        return self.actx.schema
 
 
 def _evt_succs(sys: EsBasic, k: Any) -> list[tuple[ActionLabel, EsTriggered]]:

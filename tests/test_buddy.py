@@ -1,10 +1,14 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mem_part_oracle import mem_part as per_byte_mem_part
+from rgkit import buddy
 from rgkit.buddy import (
     ALLOCATED,
     ALLOCATING,
+    BLOCK_STATES,
     BuddyDims,
     DIVIDED,
     FREE,
@@ -96,6 +100,53 @@ def test_oracle_tasks_cover_the_enumeration_in_order(dims, drop):
     if dims.n_max == 2:
         # the first cell's DIVIDED chunk (66,560 of 67,600) no longer dominates
         assert len(tasks) == 40 and max(map(len, chunks)) == 16_384
+
+
+@pytest.mark.parametrize("drop", [None, *PREMISES])
+@pytest.mark.parametrize("n_max, n_levels", [(1, 2), (2, 2)])
+def test_mem_part_agrees_with_per_byte_oracle_on_enumerated_bitmaps(monkeypatch, n_max, n_levels, drop):
+    """Every assignment the oracle examines, plain and with each premise
+    dropped, gets the same answer from both definitions."""
+    dims = BuddyDims(n_max=n_max, n_levels=n_levels)
+    answers = []
+
+    def both(d, b):
+        got = mem_part(d, b)
+        assert got == per_byte_mem_part(d, b), b
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(buddy, "mem_part", both)
+    v = partition_theorem_oracle(dims, drop_premise=drop, budget=6**10)
+    assert not v.diagnostic
+    assert len(answers) >= v.detail["examined"] > 0
+    if drop in (None, "inv_mempool_info"):
+        assert v.passed and all(answers)
+    else:
+        assert v.failed and not all(answers)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except IndexError:
+        return IndexError
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n_max=st.integers(-2, 3),
+    n_levels=st.integers(0, 3),
+    max_sz=st.integers(-40, 70),
+    data=st.data(),
+)
+def test_mem_part_agrees_with_per_byte_oracle_on_any_dims(n_max, n_levels, max_sz, data):
+    """Inconsistent dims too: a max_sz that is not a multiple of 4^i, a
+    level size of 0, negative sizes, rows of any length."""
+    dims = BuddyDims(n_max=n_max, n_levels=n_levels, max_sz=max_sz)
+    bits = [tuple(data.draw(st.lists(st.sampled_from(BLOCK_STATES), max_size=2 * 4**i)))
+            for i in range(n_levels)]
+    assert _outcome(mem_part, dims, bits) == _outcome(per_byte_mem_part, dims, bits)
 
 
 def test_partition_oracle_degenerate_one_level():

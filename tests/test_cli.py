@@ -171,6 +171,36 @@ def test_bpel_inject_one_injectivity_check_per_mutation(monkeypatch, argv, check
     assert len(calls) == checks
 
 
+BPEL_COMMANDS = [
+    ["compile"], ["compile", "--generate", "20"], ["bisim"], ["inject"],
+    *(["inject", "--mutation", m] for m in sorted(bpel.MUTATIONS)),
+]
+
+
+@pytest.mark.parametrize("argv", BPEL_COMMANDS, ids=" ".join)
+def test_bpel_shared_translations_print_the_same_reports(monkeypatch, argv):
+    """One translation memo per command and mutation prints what a fresh
+    memo per check printed, and translates fewer activities."""
+    argv = ["bpel", argv[0], corpus_path("bpel_suite.bpc"), *argv[1:]]
+    orig_compile = bpel.compile_activity
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(a[1])
+        return orig_compile(*a, **kw)
+
+    monkeypatch.setattr(bpel, "compile_activity", counted)
+    code, shared = run_cli(argv)
+    shared_calls = len(calls)
+    for name in ("compile_activity", "check_compile_injective", "check_bisim", "check_trace_equiv"):
+        fn = getattr(bpel, name)
+        monkeypatch.setattr(bpel, name, lambda *a, _fn=fn, memo=None, **kw: _fn(*a, **kw))
+    calls.clear()
+    code2, fresh = run_cli(argv)
+    assert code == code2 and strip_millis(shared) == strip_millis(fresh)
+    assert shared_calls < len(calls)
+
+
 def assert_oracle_workers_byte_identical(dims, cases):
     for drop, code in cases:
         argv1 = ["--workers", "1", "oracle"] + dims + drop
@@ -259,7 +289,6 @@ def test_one_proof_per_prove_crosscheck(monkeypatch, universe):
         return orig(*a, **kw)
 
     monkeypatch.setattr(checker, "prove", counted)
-    monkeypatch.setattr(cli, "prove", counted)
     code, _ = run_cli(PROVE_ITER + ["--universe", universe, "--crosscheck"])
     assert code == 0
     assert len(calls) == 1
