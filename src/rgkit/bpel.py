@@ -737,10 +737,9 @@ def check_trace_equiv(
     eimg = etraces.conf_sequences()
     if bimg == eimg:
         return ok(check, detail={"bpel_traces": len(bimg), "es_traces": len(eimg)})
-    only_b = sorted(bimg - eimg, key=_trace_key(bctx))
-    only_e = sorted(eimg - bimg, key=_trace_key(bctx))
+    only_b = bimg - eimg
     side = "bpel-only" if only_b else "es-only"
-    w = (only_b or only_e)[0]
+    w = min(only_b or eimg - bimg, key=_trace_key(bctx))
     return fail(
         check,
         side,

@@ -148,35 +148,35 @@ class ParallelEventSystem:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class BasicEvtNode:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class AtomEvtNode:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class TrgEvtNode:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class SeqNode:
     mid: StateSet
     left: "Outline"
     right: "Outline"
 
 
-@dataclass(frozen=True)
+@_node
 class ChoiceNode:
     left: "Outline"
     right: "Outline"
 
 
-@dataclass(frozen=True)
+@_node
 class JoinNode:
     spec1: RGSpec
     spec2: RGSpec
@@ -184,19 +184,19 @@ class JoinNode:
     right: "Outline"
 
 
-@dataclass(frozen=True)
+@_node
 class IterNode:
     inv: StateSet
     body: "Outline"
 
 
-@dataclass(frozen=True)
+@_node
 class ConseqNode:
     inner: RGSpec
     child: "Outline"
 
 
-@dataclass(frozen=True)
+@_node
 class ParNode:
     specs: tuple  # ((kappa, RGSpec), ...)
     children: tuple  # ((kappa, Outline), ...)

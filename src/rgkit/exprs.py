@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from functools import cache
 from inspect import formatannotation
+from operator import attrgetter
 from types import FunctionType
 from typing import Any, Callable
 
@@ -77,7 +78,11 @@ def _node(cls):
     """Frozen dataclass whose hash is computed once and cached on the
     instance; the syntax nodes of every language in the toolkit use it.
     `dataclass` builds only the field table here; the methods it would
-    generate per class are shared (see `_node_methods`)."""
+    generate per class are shared (see `_node_methods`), except an
+    `__eq__` the class defines itself.  The hash is
+    `hash((class name,) + field values)`; an instance without one reads
+    the class default `_h = None`, so no lookup ever raises, and the
+    field values come from one `attrgetter` call."""
     if cls.__doc__ is None:  # what dataclass would write, without inspect.signature
         ann = cls.__dict__.get("__annotations__", {})
         params = [
@@ -93,18 +98,26 @@ def _node(cls):
     init = FunctionType(init.__code__, init.__globals__, "__init__", defaults or None)
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = {**{f.name: f.type for f in fs}, "return": None}
-    cls.__init__, cls.__eq__, cls.__repr__ = init, eq, _node_repr
+    cls.__init__, cls.__repr__ = init, _node_repr
+    cls.__eq__ = cls.__dict__.get("__eq__") or eq
     cls.__setattr__, cls.__delattr__ = _node_setattr, _node_delattr
 
-    def __hash__(self):
-        try:
-            return object.__getattribute__(self, "_h")
-        except AttributeError:
-            h = hash((cls.__name__,) + tuple(getattr(self, n) for n in names))
-            object.__setattr__(self, "_h", h)
-            return h
+    head = (cls.__name__,)
+    if len(names) > 1:
+        values = attrgetter(*names)
+    elif names:
+        values = lambda self, get=attrgetter(*names): (get(self),)  # noqa: E731
+    else:
+        values = lambda self: ()  # noqa: E731
 
-    cls.__hash__ = __hash__
+    def __hash__(self):
+        h = self._h
+        if h is None:
+            h = hash(head + values(self))
+            object.__setattr__(self, "_h", h)
+        return h
+
+    cls.__hash__, cls._h = __hash__, None
     return cls
 
 
@@ -113,12 +126,11 @@ def _memo(node) -> dict:
     cached on the instance like its hash.  Its keys may name only syntax
     and system identifiers, never a state or a context, so every entry
     stays equal to what the step would build afresh."""
-    try:
-        return object.__getattribute__(node, "_memo")
-    except AttributeError:
-        memo: dict = {}
+    memo = node.__dict__.get("_memo")
+    if memo is None:
+        memo = {}
         object.__setattr__(node, "_memo", memo)
-        return memo
+    return memo
 
 
 def _compiled(node, attr: str, schema, build):
@@ -137,6 +149,14 @@ def _compiled(node, attr: str, schema, build):
 class Lit:
     value: Any
     vtype: Any = None  # explicit type for structured literals (expansion)
+
+    def __eq__(self, other):
+        # `1 == True` in Python, but the literals `1` and `true` are
+        # different syntax: the values must also be of the same class.
+        if other.__class__ is Lit:
+            return (self.value.__class__ is other.value.__class__
+                    and (self.value, self.vtype) == (other.value, other.vtype))
+        return NotImplemented
 
 
 @_node

@@ -13,7 +13,7 @@ diagnostic, never silently approximated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .exprs import (
@@ -37,7 +37,12 @@ class NotGenerative(Exception):
 
 
 class StateSet:
-    """Decidable set of states: an Expr predicate or a named native test."""
+    """Decidable set of states: an Expr predicate or a named native test.
+
+    An expression is type-checked when the set is made, so every load
+    error is raised where it was before, but it is compiled only when the
+    set is first asked `holds`: a model load builds far more sets than a
+    command evaluates."""
 
     def __init__(
         self,
@@ -54,10 +59,13 @@ class StateSet:
         self.name = name
         if expr is not None:
             check_expr(expr, schema, BoolType())
-            self._fn: Callable[[tuple, list], Any] = compile_expr(expr, schema)
         else:
-            fn = native
-            self._fn = lambda s, env: fn(s)
+            self._fn = lambda s, env: native(s)
+
+    def _fn(self, s: tuple, env: list) -> Any:
+        # First use: the compiled code replaces this method on the instance.
+        self._fn = fn = compile_expr(self.expr, self.schema)
+        return fn(s, env)
 
     def holds(self, s: tuple) -> bool:
         return bool(self._fn(s, []))
@@ -134,15 +142,21 @@ def compile_assigns(schema: Schema, assigns: tuple[Assign, ...]):
     return apply
 
 
-@dataclass
+@dataclass(eq=False)
 class RelRule:
+    """A guarded multi-assignment, type-checked when made and compiled on
+    first use, like a `StateSet`.  Rules compare by identity."""
+
     guard: StateSet
     assigns: tuple[Assign, ...]
-    _apply: Callable[[tuple], tuple] = field(init=False, repr=False)
 
     def __post_init__(self):
         check_assigns(self.guard.schema, self.assigns)
-        self._apply = compile_assigns(self.guard.schema, self.assigns)
+
+    def _apply(self, s: tuple) -> tuple:
+        # First use: the compiled code replaces this method on the instance.
+        self._apply = fn = compile_assigns(self.guard.schema, self.assigns)
+        return fn(s)
 
 
 FULL_BUDGET = 200_000  # most states a "full" relation enumerates

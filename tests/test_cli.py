@@ -10,6 +10,7 @@ import pytest
 from conftest import corpus_path
 from rgkit import bpel, checker, cli
 from rgkit.buddy import BuddyDims, valid_assignment_estimate
+from rgkit.modelfile import load
 
 
 def run_cli(argv):
@@ -199,6 +200,76 @@ def test_bpel_shared_translations_print_the_same_reports(monkeypatch, argv):
     code2, fresh = run_cli(argv)
     assert code == code2 and strip_millis(shared) == strip_millis(fresh)
     assert shared_calls < len(calls)
+
+
+LOOK_ALIKE_LITERALS = """MODEL lits
+ADAPTER imp
+SCHEMA
+  x : INT 0..2 INIT 0
+END
+SET init0 := x = 0
+REL id := ID END
+PROGRAM pa := x := 1 ;; IF 1 = 1 THEN x := 2 ELSE x := 0 FI
+PROGRAM pb := x := 1 ;; IF true = true THEN x := 2 ELSE x := 0 FI
+ESYS e := (TRG pa CHOICE TRG pb)
+"""
+
+
+def test_graph_keeps_programs_apart_that_differ_in_a_literal_class(tmp_path):
+    """`1 = 1` and `true = true` are different syntax: after the first
+    step each branch has its own configuration."""
+    path = tmp_path / "lits.pcm"
+    path.write_text(LOOK_ALIKE_LITERALS)
+    code, out = run_cli(["graph", "dump", str(path), "--target", "e", "--pre", "init0",
+                         "--rely", "id"])
+    last = records(out.splitlines()[-1])[0]
+    assert code == 0
+    assert (last["node_count"], last["detail"]) == (5, {"comp_edges": 5, "env_edges": 5})
+    assert "node (TRG<IF true = true THEN x := 2 ELSE x := 0 FI>, {x=1})" in out
+
+
+def _sorted_trace_equiv(bctx, b0, s0, rely_universe, max_len, mutation=None, memo=None):
+    """`check_trace_equiv` as it first chose its witness: sort both sides'
+    differing traces and report the first of the side that has any."""
+    from rgkit.computations import cpts_linear
+    from rgkit.events import render_system
+    from rgkit.verdicts import fail, ok
+
+    memo = {} if memo is None else memo
+    comp = lambda a: bpel.compile_activity(bctx, a, mutation, memo)  # noqa: E731
+    btraces = bpel.bpel_computations(bctx, b0, s0, rely_universe, max_len)
+    bimg = {tuple((comp(bi), si) for bi, si in tr) for tr in btraces}
+    eimg = cpts_linear(bctx.ctx, comp(b0), s0, rely_universe, max_len, k="bpel").conf_sequences()
+    detail = {"bpel_traces": len(bimg), "es_traces": len(eimg)}
+    if bimg == eimg:
+        return ok("trace-equiv", detail=detail)
+    only_b = sorted(bimg - eimg, key=bpel._trace_key(bctx))
+    only_e = sorted(eimg - bimg, key=bpel._trace_key(bctx))
+    w = (only_b or only_e)[0]
+    trace = [{"spec": render_system(sp), "state": bctx.schema.state_to_dict(st)} for sp, st in w]
+    return fail("trace-equiv", "bpel-only" if only_b else "es-only",
+                witness={"trace": trace}, detail=detail)
+
+
+def test_trace_equiv_witness_is_the_first_sorted_trace():
+    bf = load(corpus_path("bpel_suite.bpc"))
+    s0, rely = bf.bctx.schema.initial_state(), cli._tick_rely(bf)
+    failed = 0
+    for mutation in (None, *sorted(bpel.MUTATIONS)):
+        for act in bf.activities.values():
+            got = bpel.check_trace_equiv(bf.bctx, act, s0, rely, 6, mutation=mutation)
+            assert got == _sorted_trace_equiv(bf.bctx, act, s0, rely, 6, mutation=mutation)
+            failed += got.failed
+    assert failed
+
+
+@pytest.mark.parametrize("argv", [a for a in BPEL_COMMANDS if a[0] == "inject"], ids=" ".join)
+def test_bpel_inject_reports_match_sorted_witnesses(monkeypatch, argv):
+    argv = ["bpel", argv[0], corpus_path("bpel_suite.bpc"), *argv[1:]]
+    code, out = run_cli(argv)
+    monkeypatch.setattr(bpel, "check_trace_equiv", _sorted_trace_equiv)
+    code2, out2 = run_cli(argv)
+    assert code == code2 and strip_millis(out) == strip_millis(out2)
 
 
 def assert_oracle_workers_byte_identical(dims, cases):

@@ -75,7 +75,7 @@ def _args(cls, shift: int) -> tuple[list, list]:
 
 
 def test_every_node_class_is_found():
-    assert len(NODE_CLASSES) == 59
+    assert len(NODE_CLASSES) == 68
     assert {c.__module__ for c in NODE_CLASSES} == {
         "rgkit.exprs", "rgkit.adapters", "rgkit.events", "rgkit.bpel"}
 
@@ -142,3 +142,25 @@ def test_post_init_runs():
         assert pes.systems == (("t1", FIN), ("t2", FIN))
         with pytest.raises(LoadError, match="duplicate system identifiers"):
             cls((("t1", FIN), ("t1", FIN)))
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: c.__name__)
+def test_first_and_cached_hash_follow_the_formula(cls):
+    x = cls(*_args(cls, 0)[0])
+    assert cls._h is None and "_h" not in vars(x)
+    want = hash((cls.__name__,) + tuple(getattr(x, f.name) for f in dataclasses.fields(cls)))
+    assert hash(x) == want and vars(x)["_h"] == want
+    assert hash(x) == want
+
+
+def test_hashed_classes_have_zero_one_and_more_fields():
+    assert {min(len(dataclasses.fields(c)), 2) for c in NODE_CLASSES} == {0, 1, 2}
+
+
+def test_literals_of_equal_value_but_other_class_are_unequal():
+    assert Lit(1) != Lit(True) and not Lit(1) == Lit(True)
+    assert Lit(0) != Lit(False) and Lit(1) == Lit(1) and Lit(True) == Lit(True)
+    assert Len(Lit(1)) != Len(Lit(True))
+    assert hash(Lit(1)) == hash(Lit(True)) == hash(("Lit", 1, None))
+    assert Lit(1, IntType(0, 3)) == Lit(1, IntType(0, 3)) != Lit(1, IntType(0, 2))
+    assert (Lit(1) == 1, Lit(1) == Var("a")) == (False, False)

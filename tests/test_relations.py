@@ -1,13 +1,19 @@
+import dataclasses
 import itertools
+import os
 
 import pytest
+from conftest import corpus_path
 from hypothesis import given, strategies as st
 
-from rgkit.exprs import Arith, BoolOp, Cmp, Lit, Var
+from rgkit import bpel, cli, relations
+from rgkit.exprs import Arith, BoolOp, Cmp, Lit, Var, compile_expr
+from rgkit.modelfile import ModelFile, load
 from rgkit.relations import (
     RelDesc,
     RelRule,
     StateSet,
+    compile_assigns,
     full_rel,
     identity_rel,
     solve_states,
@@ -137,3 +143,112 @@ def test_pred_relation_membership(x, p):
     assert r.contains(s.state(x=0), s.state(x=x)) is True
     assert r.contains(s.state(x=2), s.state(x=x)) == (2 <= x)
     assert not r.generative
+
+
+# ----------------------------------------------------------------------
+# State sets and rules compile on first use.  Loading type-checks them
+# only; once used, they answer as the code `compile_expr` and
+# `compile_assigns` build for them directly.
+# ----------------------------------------------------------------------
+
+CORPUS_FILES = sorted(os.listdir(os.path.join(os.path.dirname(__file__), "..", "corpus")))
+
+
+def _counting(monkeypatch, module, name, calls):
+    orig = getattr(module, name)
+
+    def counted(*a, **kw):
+        calls.append(name)
+        return orig(*a, **kw)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_loading_compiles_no_set_or_rule(monkeypatch, name):
+    calls: list = []
+    _counting(monkeypatch, relations, "compile_expr", calls)
+    _counting(monkeypatch, relations, "compile_assigns", calls)
+    loaded = load(corpus_path(name))
+    assert calls == []
+    # The patched names are the ones a set and a rule compile through.
+    s = loaded.schema if isinstance(loaded, ModelFile) else loaded.bctx.schema
+    rule = RelRule(true_set(s), ())
+    rule.guard.holds(s.initial_state())
+    rule._apply(s.initial_state())
+    assert calls == ["compile_expr", "compile_assigns"]
+
+
+def _sets_and_rels(obj, seen, sets, rels):
+    """Every `StateSet` and rule `RelDesc` reachable from `obj` through
+    dataclass fields, tuples, lists and dict values."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, StateSet):
+        sets.append(obj)
+    elif isinstance(obj, RelDesc):
+        if obj.kind == "rules":
+            rels.append(obj)
+        for r in obj.rules:
+            _sets_and_rels(r.guard, seen, sets, rels)
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            _sets_and_rels(x, seen, sets, rels)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            _sets_and_rels(x, seen, sets, rels)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, (type, Schema)):
+        for f in dataclasses.fields(obj):
+            _sets_and_rels(getattr(obj, f.name), seen, sets, rels)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainOverflow as e:
+        return ("DomainOverflow", e.args)
+
+
+def _eager_successors(rel, compiled, s):
+    out = [s] if rel.includes_identity else []
+    for guard, apply in compiled:
+        if guard(s, []):
+            t = apply(s)
+            if t not in out:
+                out.append(t)
+    return out
+
+
+SMALL_SCHEMA = 256  # states of the largest corpus schema but the two buddy models
+
+
+@pytest.mark.parametrize("name", [n for n in CORPUS_FILES if not n.startswith("buddy_")])
+def test_lazy_sets_and_rules_answer_as_eager_compiles(name):
+    loaded = load(corpus_path(name))
+    if isinstance(loaded, ModelFile):
+        schema, roots = loaded.schema, [loaded]
+    else:  # a BPEL file holds activities: its sets are made by translation
+        schema = loaded.bctx.schema
+        roots = [cli._tick_rely(loaded)] + [
+            bpel.compile_activity(loaded.bctx, a) for a in loaded.activities.values()]
+    assert schema.product_size() <= SMALL_SCHEMA
+    sets, rels = [], []
+    _sets_and_rels(roots, set(), sets, rels)
+    sets = [ss for ss in sets if ss.expr is not None]
+    assert sets and all("_fn" not in vars(ss) for ss in sets)
+    states = schema.all_states(SMALL_SCHEMA)
+    for ss in sets:
+        eager = compile_expr(ss.expr, schema)
+        assert [ss.holds(s) for s in states] == [bool(eager(s, [])) for s in states]
+    for rel in rels:
+        assert all("_apply" not in vars(r) for r in rel.rules)
+        compiled = [(compile_expr(r.guard.expr, schema), compile_assigns(schema, r.assigns))
+                    for r in rel.rules]
+        for s in states:
+            want = _outcome(_eager_successors, rel, compiled, s)
+            assert _outcome(rel.successors, s) == want
+            for t in states:
+                assert _outcome(rel.contains, s, t) == _outcome(
+                    lambda: t == s and rel.includes_identity or any(
+                        g(s, []) and a(s) == t for g, a in compiled))
