@@ -325,3 +325,174 @@ def test_operator_trees_parse_back(e):
     parsing the text back gives the tree."""
     text = render_expr(e)
     assert Parser(text).parse_expr() == _as_parsed(e), text
+
+
+# ----------------------------------------------------------------------
+# The type walk, pinned: the exact text and position of each load error
+# `check_expr` raises, and the type it gives every sub-term of
+# `ORACLE_EXPRS` (`tests/expr_oracle.py` takes its defaults from these
+# types, so the oracle alone cannot catch a wrong one).
+# ----------------------------------------------------------------------
+
+_MIXED = RecType((("a", _ELEM), ("b", BoolType())))
+ERR_SCHEMA = Schema([
+    *zip(ORACLE_SCHEMA.names, ORACLE_SCHEMA.types, ORACLE_SCHEMA.inits),
+    ("m", _MIXED, (1, False)),
+])
+m = Var("m")
+ERR_POS = (7, 9)
+ANYINT_TEXT = str(exprs.ANYINT)
+
+TYPE_ERRORS = [  # (expression, expected type or None, message, has the position)
+    (Lit(5, IntType(0, 3)), None, "literal 5 does not conform to INT 0..3", True),
+    (Lit("zz"), SymType(("a", "b")), "symbol 'zz' not in SYM {a, b}", True),
+    (Lit(1.5), None, "unsupported literal 1.5", True),
+    (Field(x, "a"), None, "field access on non-record: x.a", True),
+    (FieldDyn(x, k), None, "dynamic field access on non-record: x.[k]", True),
+    (FieldDyn(m, k), None, "dynamic field access requires uniform field types", True),
+    (Index(x, Lit(0)), None, "indexing a non-sequence: x[0]", True),
+    (Len(x), None, "LEN of a non-sequence", True),
+    (AppendE(x, Lit(1)), None, "APPEND to a non-sequence", True),
+    (UpdateE(x, Lit(0), Lit(1)), None, "UPDATE of a non-sequence", True),
+    (RemoveE(x, Lit(1)), None, "REMOVE from a non-sequence", True),
+    (HeadE(x), None, "HEAD of a non-sequence", True),
+    (TailE(x), None, "TAIL of a non-sequence", True),
+    (ContainsE(x, Lit(1)), None, "IN on a non-sequence", True),
+    (RecWith(x, "a", Lit(1)), None, "record update of a non-record", True),
+    (RecWithDyn(x, k, Lit(1)), None, "record update of a non-record", True),
+    (RecWithDyn(m, k, Lit(1)), None, "dynamic record update requires uniform field types", True),
+    (MkSeq(()), None, "cannot infer the type of an empty sequence literal here", True),
+    (Cmp("=", r, MkRec((("b", Lit(1)), ("a", Lit(1))))), None,
+     "record literal fields ['b', 'a'] do not match ['a', 'b']", True),
+    (IsSome(x), None, "ISSOME of a non-optional", True),
+    (TheOpt(x), None, "THE of a non-optional", True),
+    ("x", None, "unknown expression node 'x'", True),
+    (Arith("+", Lit(1), Lit(True)), None, f"expected {ANYINT_TEXT}, got BOOL in true", True),
+    (Var("nope"), None, "undeclared variable 'nope'", False),
+    (Field(r, "zz"), None, "unknown record field 'zz'", False),
+    (RecWith(r, "zz", Lit(1)), None, "unknown record field 'zz'", False),
+    # the first error in walk order wins, inside binders too
+    (BoolOp("AND", Len(x), HeadE(x)), None, "LEN of a non-sequence", True),
+    (Cmp("=", xs, x), None, "expected SEQ 3 OF INT 1..3, got INT 0..3 in x", True),
+    (ForallLt("i", Lit(2), Var("i")), None, f"expected BOOL, got {ANYINT_TEXT} in i", True),
+    (ExistsLt("i", Lit(2), Cmp("=", Len(Var("i")), Lit(0))), None, "LEN of a non-sequence", True),
+    (CondE(flag, x, flag), None, "expected INT 0..3, got BOOL in flag", True),
+    (MkSeq((Lit(1), flag)), None, f"expected {ANYINT_TEXT}, got BOOL in flag", True),
+    (MkRec((("a", Lit(1)),)), _REC, "record literal fields ['a'] do not match ['a', 'b']", True),
+    (MkSome(flag), OptType(_ELEM), "expected INT 1..3, got BOOL in flag", True),
+    (NoneLit(), _ELEM, f"expected INT 1..3, got OPT {ANYINT_TEXT} in NONE", True),
+]
+
+
+def test_type_errors_are_pinned():
+    for e, expected, msg, positioned in TYPE_ERRORS:
+        with pytest.raises(LoadError) as info:
+            check_expr(e, ERR_SCHEMA, expected, None, ERR_POS)
+        assert (info.value.msg, info.value.pos) == (msg, ERR_POS if positioned else None), e
+
+
+SUBTERM_TYPES = [  # (sub-term of ORACLE_EXPRS as rendered, its type), first occurrences
+    ('2', 'ANYINT'),
+    ('true', 'BOOL'),
+    ('b', 'SYM {a, b}'),
+    ('x', 'INT 0..3'),
+    ('r.b', 'INT 1..3'),
+    ('r', 'REC {a: INT 1..3, b: INT 1..3}'),
+    ('r.[k]', 'INT 1..3'),
+    ('k', 'SYM {a, b}'),
+    ('HEAD(rs).a', 'INT 1..3'),
+    ('HEAD(rs)', 'REC {a: INT 1..3, b: INT 1..3}'),
+    ('rs', 'SEQ 2 OF REC {a: INT 1..3, b: INT 1..3}'),
+    ('xs[x]', 'INT 1..3'),
+    ('xs', 'SEQ 3 OF INT 1..3'),
+    ('xs[-1]', 'INT 1..3'),
+    ('-1', 'ANYINT'),
+    ('1', 'ANYINT'),
+    ('[1, 2][2]', 'ANYINT'),
+    ('[1, 2]', 'SEQ 2 OF ANYINT'),
+    ('LEN(xs)', 'ANYINT'),
+    ('APPEND(xs, x)', 'SEQ 3 OF INT 1..3'),
+    ('UPDATE(xs, x, 3)', 'SEQ 3 OF INT 1..3'),
+    ('3', 'ANYINT'),
+    ('UPDATE([1, 2], -1, 9)', 'SEQ 2 OF ANYINT'),
+    ('9', 'ANYINT'),
+    ('REMOVE(xs, x)', 'SEQ 3 OF INT 1..3'),
+    ('REMOVE([1, 2], 3)', 'SEQ 2 OF ANYINT'),
+    ('HEAD(xs)', 'INT 1..3'),
+    ('HEAD(TAIL([4]))', 'ANYINT'),
+    ('TAIL([4])', 'SEQ 1 OF ANYINT'),
+    ('[4]', 'SEQ 1 OF ANYINT'),
+    ('4', 'ANYINT'),
+    ('TAIL(xs)', 'SEQ 3 OF INT 1..3'),
+    ('x IN xs', 'BOOL'),
+    ('SETFIELD(r, a, x)', 'REC {a: INT 1..3, b: INT 1..3}'),
+    ('SETFIELDAT(r, k, 3)', 'REC {a: INT 1..3, b: INT 1..3}'),
+    ('[x, 1]', 'SEQ 2 OF INT 0..3'),
+    ('{a: x, b: 2}', 'REC {a: INT 0..3, b: ANYINT}'),
+    ('SOME(x)', 'OPT INT 0..3'),
+    ('NONE', 'OPT ANYINT'),
+    ('ISSOME(o)', 'BOOL'),
+    ('o', 'OPT INT 2..3'),
+    ('THE(o)', 'INT 2..3'),
+    ('THE(NONE)', 'ANYINT'),
+    ('x + 2', 'ANYINT'),
+    ('x - 2', 'ANYINT'),
+    ('x * 2', 'ANYINT'),
+    ('x DIV 2', 'ANYINT'),
+    ('x MOD 2', 'ANYINT'),
+    ('x ^ 2', 'ANYINT'),
+    ('5 DIV x', 'ANYINT'),
+    ('5', 'ANYINT'),
+    ('5 MOD x', 'ANYINT'),
+    ('-x DIV 2', 'ANYINT'),
+    ('-x', 'ANYINT'),
+    ('-x MOD 2', 'ANYINT'),
+    ('2 ^ (-x)', 'ANYINT'),
+    ('x = 2', 'BOOL'),
+    ('x != 2', 'BOOL'),
+    ('x < 2', 'BOOL'),
+    ('x <= 2', 'BOOL'),
+    ('x > 2', 'BOOL'),
+    ('x >= 2', 'BOOL'),
+    ('r = {a: 1, b: 1}', 'BOOL'),
+    ('{a: 1, b: 1}', 'REC {a: ANYINT, b: ANYINT}'),
+    ('o != NONE', 'BOOL'),
+    ('flag AND x < 2', 'BOOL'),
+    ('flag', 'BOOL'),
+    ('flag OR x < 2', 'BOOL'),
+    ('flag IMPLIES x < 2', 'BOOL'),
+    ('NOT flag', 'BOOL'),
+    ('COND(flag, x, LEN(xs))', 'INT 0..3'),
+    ('ALL i < LEN(xs) : ANY j < 4 : xs[i] = j', 'BOOL'),
+    ('ANY j < 4 : xs[i] = j', 'BOOL'),
+    ('xs[i] = j', 'BOOL'),
+    ('xs[i]', 'INT 1..3'),
+    ('i', 'ANYINT'),
+    ('j', 'ANYINT'),
+    ('ANY x < 2 : x = 1', 'BOOL'),
+    ('x = 1', 'BOOL'),
+    ('x', 'ANYINT'),
+]
+
+
+def _typed_subterms(e, binds):
+    yield e, binds
+    if isinstance(e, (ForallLt, ExistsLt)):
+        yield from _typed_subterms(e.bound, binds)
+        yield from _typed_subterms(e.body, {**binds, e.var: exprs.ANYINT})
+        return
+    for f in dataclasses.fields(e):
+        v = getattr(e, f.name)
+        for item in v if isinstance(v, tuple) else (v,):
+            item = item[1] if isinstance(item, tuple) else item  # MkRec fields
+            if isinstance(item, NODE_CLASSES):
+                yield from _typed_subterms(item, binds)
+
+
+def test_subterm_types_are_pinned():
+    got = {}
+    for top in ORACLE_EXPRS:
+        for e, binds in _typed_subterms(top, {}):
+            text = str(check_expr(e, ORACLE_SCHEMA, None, binds)).replace(ANYINT_TEXT, "ANYINT")
+            got.setdefault((render_expr(e), text), None)
+    assert list(got) == SUBTERM_TYPES
