@@ -25,12 +25,12 @@ bodies big-step (`_runner`) instead of exploring their step graph.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from .events import EsTriggered
 from .exprs import Cmp, Expr, Lit, Var, _compiled, _memo, _node, render_expr, substitute
-from .relations import RGSpec, StateSet, compile_assigns, check_assigns, solve_states, true_set
+from .relations import RGSpec, StateSet, compile_assigns, solve_states, true_set
 from .values import BoolType, DomainOverflow, IntType, LoadError, Schema
 from .verdicts import Verdict, diag, fail, ok
 
@@ -106,7 +106,7 @@ def check_program(schema: Schema, p: ImpProgram | None, in_await: bool = False) 
     if p is None:
         return
     if isinstance(p, Basic):
-        check_assigns(schema, p.assigns)
+        _compiled(p, "_apply", schema, _compile_basic)
     elif isinstance(p, PSeq):
         check_program(schema, p.a, in_await)
         check_program(schema, p.b, in_await)
@@ -388,9 +388,11 @@ class RelMachine:
     name: str
     edges: tuple  # ((src, guard: StateSet, assigns, dst), ...)
     terminal_loc: str
+    applies: tuple = field(compare=False, repr=False)  # each edge's compiled assigns
 
     def outgoing(self, loc: str):
-        return [e for e in self.edges if e[0] == loc]
+        """(edge, its compiled assigns) for each edge out of `loc`."""
+        return [(e, a) for e, a in zip(self.edges, self.applies) if e[0] == loc]
 
 
 def make_rel_machine(
@@ -401,13 +403,14 @@ def make_rel_machine(
     allow_self_loops: bool = False,
 ) -> RelMachine:
     edges = tuple(edges)
+    applies = []
     for src, guard, assigns, dst in edges:
-        check_assigns(schema, assigns)
+        applies.append(compile_assigns(schema, assigns))
         if src == dst and not allow_self_loops:
             raise LoadError(f"self-loop edge at location {src!r} violates A2")
         if src == terminal_loc:
             raise LoadError("edges out of the terminal location violate A1")
-    return RelMachine(name, edges, terminal_loc)
+    return RelMachine(name, edges, terminal_loc, tuple(applies))
 
 
 @_node
@@ -421,9 +424,9 @@ def rel_step(ctx: AdapterContext, p, s: tuple) -> list[tuple[Any, tuple]]:
         return []
     assert isinstance(p, RelAt)
     out = []
-    for src, guard, assigns, dst in p.machine.outgoing(p.loc):
+    for (src, guard, assigns, dst), apply in p.machine.outgoing(p.loc):
         if guard.holds(s):
-            t = compile_assigns(ctx.schema, assigns)(s)
+            t = apply(s)
             q = None if dst == p.machine.terminal_loc else RelAt(p.machine, dst)
             out.append((q, t))
     return out

@@ -37,6 +37,7 @@ from .events import (
     render_system,
 )
 from .exprs import (
+    BOOL,
     BoolOp,
     Cmp,
     CondE,
@@ -48,11 +49,10 @@ from .exprs import (
     Var,
     _compiled,
     _node,
-    check_expr,
     compile_expr,
     render_expr,
 )
-from .relations import RelDesc, StateSet, check_assigns
+from .relations import RelDesc, StateSet
 from .semantics import step_es
 from .computations import cpts_linear
 from .values import BoolType, IntType, LoadError, RecType, Schema
@@ -242,7 +242,7 @@ def check_activity(bctx: BpelCtx, a: Activity, top: bool = True) -> None:
             if len(set(links)) != len(links):
                 raise LoadError("duplicate link names in targets")
             if jc is not None:
-                check_expr(jc, schema, BoolType())
+                _compiled(jc, "_guard", schema, _compile_guard)
         if fe.sources is not None:
             names = [l for l, _ in fe.sources]
             if len(set(names)) != len(names):
@@ -250,11 +250,11 @@ def check_activity(bctx: BpelCtx, a: Activity, top: bool = True) -> None:
             for l, tc in fe.sources:
                 if l not in bctx.links:
                     raise LoadError(f"undeclared link {l!r}")
-                check_expr(tc, schema, BoolType())
+                _compiled(tc, "_guard", schema, _compile_guard)
 
-    def chk_spec(spec: tuple) -> None:
-        check_assigns(schema, spec)
-        for v, _ in spec:
+    def chk_spec(node) -> None:
+        _compiled(node, "_apply", schema, _compile_spec)
+        for v, _ in node.spec:
             if v in (bctx.links_var, bctx.tick_var):
                 raise LoadError(f"state mapping may not assign {v!r}")
 
@@ -266,7 +266,7 @@ def check_activity(bctx: BpelCtx, a: Activity, top: bool = True) -> None:
         if isinstance(a, (Invoke, Receive, Reply, Assign, Wait, Empty)):
             chk_fe(a.fe)
             if isinstance(a, (Invoke, Receive, Assign)):
-                chk_spec(a.spec)
+                chk_spec(a)
             if isinstance(a, Invoke):
                 names = [n for n, _ in a.catches]
                 if len(set(names)) != len(names):
@@ -280,7 +280,7 @@ def check_activity(bctx: BpelCtx, a: Activity, top: bool = True) -> None:
             rec(a.b, False)
             return
         if isinstance(a, (AIf, AWhile)):
-            check_expr(a.cond, schema, BoolType())
+            _compiled(a.cond, "_guard", schema, _compile_guard)
             rec(a.a, False)
             if isinstance(a, AIf):
                 rec(a.b, False)
@@ -292,7 +292,7 @@ def check_activity(bctx: BpelCtx, a: Activity, top: bool = True) -> None:
         if isinstance(a, APick):
             for h in (a.h1, a.h2):
                 if isinstance(h, OnMessage):
-                    chk_spec(h.spec)
+                    chk_spec(h)
                 rec(h.body, False)
             return
         raise LoadError(f"not an activity: {a!r}")
@@ -341,7 +341,11 @@ def fire_sources(bctx: BpelCtx, sources, s: tuple) -> tuple:
 def _holds(bctx: BpelCtx, e: Expr, s: tuple) -> bool:
     """The guard `e` (a join, transition, If or While condition) in `s`,
     compiled once per expression node and schema by `exprs._compiled`."""
-    return bool(_compiled(e, "_guard", bctx.schema, compile_expr)(s, []))
+    return bool(_compiled(e, "_guard", bctx.schema, _compile_guard)(s, []))
+
+
+def _compile_guard(e: Expr, schema: Schema):
+    return compile_expr(e, schema, BOOL)
 
 
 def _compile_spec(node, schema: Schema):

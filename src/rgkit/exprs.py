@@ -1,15 +1,16 @@
 """Expression trees over schema states: guards, assertions, updates.
 
 Evaluation in a type-correct state is total and deterministic; everything
-that can go wrong is rejected at load time by `check_expr`.  Partial
-operations are totalised with conventional theorem-prover defaults
-(x div 0 = 0, HEAD [] = element default, THE NONE = inner default) so that
-checking never panics at runtime.
+that can go wrong is rejected at load time.  Partial operations are
+totalised with conventional theorem-prover defaults (x div 0 = 0,
+HEAD [] = element default, THE NONE = inner default) so that checking
+never panics at runtime.
 
-`compile_expr` is the one evaluator: it turns a checked expression into
-nested closures over a state and a list of bound quantifier values.  The
-tests keep a plain recursive interpreter as the oracle it is
-property-tested against.
+One walk over an expression (`_typed`) type-checks each node and turns
+it into nested closures over a state and a list of bound quantifier
+values.  `check_expr` keeps its type and `compile_expr`, the one
+evaluator, its code.  The tests keep a plain recursive interpreter as
+the oracle it is property-tested against.
 """
 
 from __future__ import annotations
@@ -347,203 +348,6 @@ def _compat(a: Type, b: Type) -> bool:
     return type(a) is type(b)
 
 
-def check_expr(
-    e: Expr,
-    schema: Schema,
-    expected: Type | None = None,
-    binds: dict[str, Type] | None = None,
-    pos: Pos = None,
-) -> Type:
-    """Type-check `e`, returning its type.  Raises LoadError on any misuse."""
-    binds = binds or {}
-
-    def err(msg: str) -> LoadError:
-        return LoadError(msg, pos)
-
-    def chk(e: Expr, expected: Type | None = None) -> Type:
-        t = _infer(e, expected)
-        if expected is not None and not _compat(t, expected):
-            raise err(f"expected {expected}, got {t} in {render_expr(e)}")
-        return t
-
-    def _infer(e: Expr, expected: Type | None) -> Type:
-        if isinstance(e, Lit):
-            v = e.value
-            if e.vtype is not None:
-                if not conforms(v, e.vtype):
-                    raise err(f"literal {v!r} does not conform to {e.vtype}")
-                return e.vtype
-            if isinstance(v, bool):
-                return BOOL
-            if isinstance(v, int):
-                return ANYINT
-            if isinstance(v, str):
-                if expected is not None and isinstance(expected, SymType):
-                    if v not in expected.values:
-                        raise err(f"symbol {v!r} not in {expected}")
-                    return expected
-                return SymType((v,))
-            raise err(f"unsupported literal {v!r}")
-        if isinstance(e, Var):
-            if e.name in binds:
-                return binds[e.name]
-            return schema.var_type(e.name)
-        if isinstance(e, Field):
-            rt = chk(e.rec)
-            if not isinstance(rt, RecType):
-                raise err(f"field access on non-record: {render_expr(e)}")
-            return rt.field_type(e.name)
-        if isinstance(e, FieldDyn):
-            rt = chk(e.rec)
-            if not isinstance(rt, RecType) or not rt.fields:
-                raise err(f"dynamic field access on non-record: {render_expr(e)}")
-            ftypes = [t for _, t in rt.fields]
-            if not all(_compat(ftypes[0], t) for t in ftypes):
-                raise err("dynamic field access requires uniform field types")
-            chk(e.key, SymType(tuple(f for f, _ in rt.fields)))
-            return ftypes[0]
-        if isinstance(e, Index):
-            st = chk(e.seq)
-            if not isinstance(st, SeqType):
-                raise err(f"indexing a non-sequence: {render_expr(e)}")
-            chk(e.idx, ANYINT)
-            return st.elem
-        if isinstance(e, Len):
-            st = chk(e.seq)
-            if not isinstance(st, SeqType):
-                raise err("LEN of a non-sequence")
-            return ANYINT
-        if isinstance(e, AppendE):
-            st = chk(e.seq)
-            if not isinstance(st, SeqType):
-                raise err("APPEND to a non-sequence")
-            chk(e.elem, st.elem)
-            return st
-        if isinstance(e, UpdateE):
-            st = chk(e.seq)
-            if not isinstance(st, SeqType):
-                raise err("UPDATE of a non-sequence")
-            chk(e.idx, ANYINT)
-            chk(e.val, st.elem)
-            return st
-        if isinstance(e, RemoveE):
-            st = chk(e.seq)
-            if not isinstance(st, SeqType):
-                raise err("REMOVE from a non-sequence")
-            chk(e.elem, st.elem)
-            return st
-        if isinstance(e, HeadE):
-            st = chk(e.seq)
-            if not isinstance(st, SeqType):
-                raise err("HEAD of a non-sequence")
-            return st.elem
-        if isinstance(e, TailE):
-            st = chk(e.seq)
-            if not isinstance(st, SeqType):
-                raise err("TAIL of a non-sequence")
-            return st
-        if isinstance(e, ContainsE):
-            st = chk(e.seq)
-            if not isinstance(st, SeqType):
-                raise err("IN on a non-sequence")
-            chk(e.elem, st.elem)
-            return BOOL
-        if isinstance(e, RecWith):
-            rt = chk(e.rec)
-            if not isinstance(rt, RecType):
-                raise err("record update of a non-record")
-            chk(e.val, rt.field_type(e.name))
-            return rt
-        if isinstance(e, RecWithDyn):
-            rt = chk(e.rec)
-            if not isinstance(rt, RecType) or not rt.fields:
-                raise err("record update of a non-record")
-            ftypes = [t for _, t in rt.fields]
-            if not all(_compat(ftypes[0], t) for t in ftypes):
-                raise err("dynamic record update requires uniform field types")
-            chk(e.key, SymType(tuple(f for f, _ in rt.fields)))
-            chk(e.val, ftypes[0])
-            return rt
-        if isinstance(e, MkSeq):
-            if expected is not None and isinstance(expected, SeqType):
-                for it in e.items:
-                    chk(it, expected.elem)
-                return expected
-            if not e.items:
-                raise err("cannot infer the type of an empty sequence literal here")
-            t0 = chk(e.items[0])
-            for it in e.items[1:]:
-                chk(it, t0)
-            return SeqType(t0, max(len(e.items), 1))
-        if isinstance(e, MkRec):
-            if expected is not None and isinstance(expected, RecType):
-                declared = dict(expected.fields)
-                given = [f for f, _ in e.items]
-                if given != [f for f, _ in expected.fields]:
-                    raise err(
-                        f"record literal fields {given} do not match {list(declared)}"
-                    )
-                for f, ex in e.items:
-                    chk(ex, declared[f])
-                return expected
-            return RecType(tuple((f, chk(ex)) for f, ex in e.items))
-        if isinstance(e, MkSome):
-            if expected is not None and isinstance(expected, OptType):
-                chk(e.inner, expected.inner)
-                return expected
-            return OptType(chk(e.inner))
-        if isinstance(e, NoneLit):
-            if expected is not None and isinstance(expected, OptType):
-                return expected
-            return OptType(ANYINT)
-        if isinstance(e, IsSome):
-            t = chk(e.opt)
-            if not isinstance(t, OptType):
-                raise err("ISSOME of a non-optional")
-            return BOOL
-        if isinstance(e, TheOpt):
-            t = chk(e.opt)
-            if not isinstance(t, OptType):
-                raise err("THE of a non-optional")
-            return t.inner
-        if isinstance(e, Arith):
-            chk(e.a, ANYINT)
-            chk(e.b, ANYINT)
-            return ANYINT
-        if isinstance(e, Neg):
-            chk(e.a, ANYINT)
-            return ANYINT
-        if isinstance(e, Cmp):
-            if e.op in ("<", "<=", ">", ">="):
-                chk(e.a, ANYINT)
-                chk(e.b, ANYINT)
-                return BOOL
-            ta = chk(e.a)
-            chk(e.b, ta)
-            return BOOL
-        if isinstance(e, BoolOp):
-            chk(e.a, BOOL)
-            chk(e.b, BOOL)
-            return BOOL
-        if isinstance(e, NotE):
-            chk(e.a, BOOL)
-            return BOOL
-        if isinstance(e, CondE):
-            chk(e.cond, BOOL)
-            tt = chk(e.then, expected)
-            chk(e.other, tt if expected is None else expected)
-            return tt
-        if isinstance(e, (ForallLt, ExistsLt)):
-            chk(e.bound, ANYINT)
-            inner = dict(binds)
-            inner[e.var] = ANYINT
-            check_expr(e.body, schema, BOOL, inner, pos)
-            return BOOL
-        raise err(f"unknown expression node {e!r}")
-
-    return chk(e, expected)
-
-
 def free_vars(e: Expr, bound: frozenset[str] = frozenset()) -> set[str]:
     if isinstance(e, Var):
         return set() if e.name in bound else {e.name}
@@ -608,63 +412,175 @@ def _mod(a: int, b: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Compiler: Expr -> f(state, env) with bound variables in a depth-indexed
-# list `env`.  Requires a prior check_expr pass (types are consulted).
+# The type-and-compile walk: Expr -> (type, f(state, env)), with bound
+# variables in a depth-indexed list `env`.  One walk checks every node
+# and builds its code, so nothing needs a prior check.
 # ----------------------------------------------------------------------
 
 CompiledExpr = Callable[[tuple, list], Any]
 
 
-def compile_expr(e: Expr, schema: Schema, binds: dict[str, tuple[int, Type]] | None = None) -> CompiledExpr:
-    binds = binds or {}
+def check_expr(
+    e: Expr,
+    schema: Schema,
+    expected: Type | None = None,
+    binds: dict[str, Type] | None = None,
+    pos: Pos = None,
+) -> Type:
+    """Type-check `e`, returning its type.  Raises LoadError on any misuse."""
+    depths = {n: (d, t) for d, (n, t) in enumerate((binds or {}).items())}
+    return _typed(e, schema, expected, depths, pos)[0]
 
-    def types_env() -> dict[str, Type]:
-        return {k: t for k, (_, t) in binds.items()}
 
-    def typ(e: Expr) -> Type:
-        return check_expr(e, schema, None, types_env())
+def compile_expr(e: Expr, schema: Schema, expected: Type | None = None) -> CompiledExpr:
+    """`e` type-checked against `expected`, as `check_expr` does, and
+    compiled.  Callers pass the type they check with: `[]` has a type
+    only where one is expected."""
+    return _typed(e, schema, expected, {}, None)[1]
 
-    def comp(e: Expr) -> CompiledExpr:
-        if isinstance(e, Lit):
+
+_ORDER_OPS = ("<", "<=", ">", ">=")
+# operator -> builder of its code from the operands' code
+_CMP = {
+    "=": lambda f, g: lambda s, env: f(s, env) == g(s, env),
+    "!=": lambda f, g: lambda s, env: f(s, env) != g(s, env),
+    "<": lambda f, g: lambda s, env: f(s, env) < g(s, env),
+    "<=": lambda f, g: lambda s, env: f(s, env) <= g(s, env),
+    ">": lambda f, g: lambda s, env: f(s, env) > g(s, env),
+    ">=": lambda f, g: lambda s, env: f(s, env) >= g(s, env),
+}
+_ARITH = {
+    "+": lambda f, g: lambda s, env: f(s, env) + g(s, env),
+    "-": lambda f, g: lambda s, env: f(s, env) - g(s, env),
+    "*": lambda f, g: lambda s, env: f(s, env) * g(s, env),
+    "DIV": lambda f, g: lambda s, env: _div(f(s, env), g(s, env)),
+    "MOD": lambda f, g: lambda s, env: _mod(f(s, env), g(s, env)),
+    "^": lambda f, g: lambda s, env: f(s, env) ** max(g(s, env), 0),
+}
+_BOOL_OPS = {
+    "AND": lambda f, g: lambda s, env: f(s, env) and g(s, env),
+    "OR": lambda f, g: lambda s, env: f(s, env) or g(s, env),
+    "IMPLIES": lambda f, g: lambda s, env: (not f(s, env)) or g(s, env),
+}
+
+
+def _typed(
+    e: Expr, schema: Schema, expected: Type | None, binds: dict[str, tuple[int, Type]], pos: Pos
+) -> tuple[Type, CompiledExpr]:
+    """The type of `e` and its code, built in one walk.  A node's children
+    are checked in a fixed order and the node before its code is made, so
+    each LoadError has one place and text.  `binds` maps a bound variable
+    to its `env` depth and type."""
+
+    def err(msg: str) -> LoadError:
+        return LoadError(msg, pos)
+
+    def chk(e: Expr, expected: Type | None = None) -> tuple[Type, CompiledExpr]:
+        t, f = walk(e, expected)
+        if expected is not None and t is not expected and not _compat(t, expected):
+            raise err(f"expected {expected}, got {t} in {render_expr(e)}")
+        return t, f
+
+    def chk_seq(e: Expr, msg: str) -> tuple[SeqType, CompiledExpr]:
+        st, f = chk(e)
+        if not isinstance(st, SeqType):
+            raise err(msg)
+        return st, f
+
+    def dyn(rt: RecType, key: Expr, what: str):
+        """The field type, field index by name, and key code of a dynamic
+        field access or update; the key's type is a set of field names."""
+        ftypes = [t for _, t in rt.fields]
+        if not all(_compat(ftypes[0], t) for t in ftypes):
+            raise err(f"dynamic {what} requires uniform field types")
+        names = tuple(f for f, _ in rt.fields)
+        kt, k = chk(key, SymType(names))
+        if not set(kt.values) <= set(names):
+            raise err(f"dynamic {what} key {render_expr(key)} of type {kt} "
+                      f"may name a field not in {rt}")
+        return ftypes[0], {n: i for i, n in enumerate(names)}, k
+
+    def walk(e: Expr, expected: Type | None) -> tuple[Type, CompiledExpr]:
+        # The six most frequent node classes come first: they are nearly
+        # all the nodes a model load walks.
+        cls = e.__class__
+        if cls is Lit:
             v = e.value
-            return lambda s, env: v
-        if isinstance(e, Var):
+            f = lambda s, env: v  # noqa: E731
+            if e.vtype is not None:
+                if not conforms(v, e.vtype):
+                    raise err(f"literal {v!r} does not conform to {e.vtype}")
+                return e.vtype, f
+            if isinstance(v, bool):
+                return BOOL, f
+            if isinstance(v, int):
+                return ANYINT, f
+            if isinstance(v, str):
+                if isinstance(expected, SymType):
+                    if v not in expected.values:
+                        raise err(f"symbol {v!r} not in {expected}")
+                    return expected, f
+                return SymType((v,)), f
+            raise err(f"unsupported literal {v!r}")
+        if cls is Var:
             if e.name in binds:
-                d = binds[e.name][0]
-                return lambda s, env: env[d]
+                d, t = binds[e.name]
+                return t, lambda s, env: env[d]
+            t = schema.var_type(e.name)
             i = schema.index[e.name]
-            return lambda s, env: s[i]
-        if isinstance(e, Field):
-            rt = typ(e.rec)
-            assert isinstance(rt, RecType)
+            return t, lambda s, env: s[i]
+        if cls is Cmp:
+            if e.op in _ORDER_OPS:
+                f, g = chk(e.a, ANYINT)[1], chk(e.b, ANYINT)[1]
+            else:
+                ta, f = chk(e.a)
+                g = chk(e.b, ta)[1]
+            return BOOL, _CMP[e.op](f, g)
+        if cls is Field:
+            rt, f = chk(e.rec)
+            if not isinstance(rt, RecType):
+                raise err(f"field access on non-record: {render_expr(e)}")
             i = rt.field_index(e.name)
-            f = comp(e.rec)
-            return lambda s, env: f(s, env)[i]
-        if isinstance(e, FieldDyn):
-            rt = typ(e.rec)
-            assert isinstance(rt, RecType)
-            idx = {name: i for i, (name, _) in enumerate(rt.fields)}
-            f, k = comp(e.rec), comp(e.key)
-            return lambda s, env: f(s, env)[idx[k(s, env)]]
-        if isinstance(e, Index):
-            st = typ(e.seq)
-            assert isinstance(st, SeqType)
-            dflt = default_value(st.elem)
-            f, g = comp(e.seq), comp(e.idx)
+            return rt.fields[i][1], lambda s, env: f(s, env)[i]
+        if cls is Arith:
+            f, g = chk(e.a, ANYINT)[1], chk(e.b, ANYINT)[1]
+            return ANYINT, _ARITH[e.op](f, g)
+        if cls is BoolOp:
+            f, g = chk(e.a, BOOL)[1], chk(e.b, BOOL)[1]
+            return BOOL, _BOOL_OPS[e.op](f, g)
+        if cls is NotE:
+            f = chk(e.a, BOOL)[1]
+            return BOOL, lambda s, env: not f(s, env)
+        if cls is Neg:
+            f = chk(e.a, ANYINT)[1]
+            return ANYINT, lambda s, env: -f(s, env)
+        if cls is FieldDyn:
+            rt, f = chk(e.rec)
+            if not isinstance(rt, RecType) or not rt.fields:
+                raise err(f"dynamic field access on non-record: {render_expr(e)}")
+            ft, idx, k = dyn(rt, e.key, "field access")
+            return ft, lambda s, env: f(s, env)[idx[k(s, env)]]
+        if cls is Index:
+            st, f = chk(e.seq)
+            if not isinstance(st, SeqType):
+                raise err(f"indexing a non-sequence: {render_expr(e)}")
+            g = chk(e.idx, ANYINT)[1]
 
-            def _index(s, env, f=f, g=g, dflt=dflt):
+            def _index(s, env, f=f, g=g, dflt=default_value(st.elem)):
                 seq, i = f(s, env), g(s, env)
                 return seq[i] if 0 <= i < len(seq) else dflt
 
-            return _index
-        if isinstance(e, Len):
-            f = comp(e.seq)
-            return lambda s, env: len(f(s, env))
-        if isinstance(e, AppendE):
-            f, g = comp(e.seq), comp(e.elem)
-            return lambda s, env: f(s, env) + (g(s, env),)
-        if isinstance(e, UpdateE):
-            f, g, h = comp(e.seq), comp(e.idx), comp(e.val)
+            return st.elem, _index
+        if cls is Len:
+            f = chk_seq(e.seq, "LEN of a non-sequence")[1]
+            return ANYINT, lambda s, env: len(f(s, env))
+        if cls is AppendE:
+            st, f = chk_seq(e.seq, "APPEND to a non-sequence")
+            g = chk(e.elem, st.elem)[1]
+            return st, lambda s, env: f(s, env) + (g(s, env),)
+        if cls is UpdateE:
+            st, f = chk_seq(e.seq, "UPDATE of a non-sequence")
+            g, h = chk(e.idx, ANYINT)[1], chk(e.val, st.elem)[1]
 
             def _upd(s, env, f=f, g=g, h=h):
                 seq, i = f(s, env), g(s, env)
@@ -672,9 +588,10 @@ def compile_expr(e: Expr, schema: Schema, binds: dict[str, tuple[int, Type]] | N
                     return seq[:i] + (h(s, env),) + seq[i + 1 :]
                 return seq
 
-            return _upd
-        if isinstance(e, RemoveE):
-            f, g = comp(e.seq), comp(e.elem)
+            return st, _upd
+        if cls is RemoveE:
+            st, f = chk_seq(e.seq, "REMOVE from a non-sequence")
+            g = chk(e.elem, st.elem)[1]
 
             def _rm(s, env, f=f, g=g):
                 seq, v = f(s, env), g(s, env)
@@ -683,130 +600,106 @@ def compile_expr(e: Expr, schema: Schema, binds: dict[str, tuple[int, Type]] | N
                         return seq[:i] + seq[i + 1 :]
                 return seq
 
-            return _rm
-        if isinstance(e, HeadE):
-            st = typ(e.seq)
-            assert isinstance(st, SeqType)
-            dflt = default_value(st.elem)
-            f = comp(e.seq)
+            return st, _rm
+        if cls is HeadE:
+            st, f = chk_seq(e.seq, "HEAD of a non-sequence")
 
-            def _head(s, env, f=f, dflt=dflt):
+            def _head(s, env, f=f, dflt=default_value(st.elem)):
                 seq = f(s, env)
                 return seq[0] if seq else dflt
 
-            return _head
-        if isinstance(e, TailE):
-            f = comp(e.seq)
-            return lambda s, env: f(s, env)[1:]
-        if isinstance(e, ContainsE):
-            f, g = comp(e.seq), comp(e.elem)
-            return lambda s, env: g(s, env) in f(s, env)
-        if isinstance(e, RecWith):
-            rt = typ(e.rec)
-            assert isinstance(rt, RecType)
+            return st.elem, _head
+        if cls is TailE:
+            st, f = chk_seq(e.seq, "TAIL of a non-sequence")
+            return st, lambda s, env: f(s, env)[1:]
+        if cls is ContainsE:
+            st, f = chk_seq(e.seq, "IN on a non-sequence")
+            g = chk(e.elem, st.elem)[1]
+            return BOOL, lambda s, env: g(s, env) in f(s, env)
+        if cls is RecWith:
+            rt, f = chk(e.rec)
+            if not isinstance(rt, RecType):
+                raise err("record update of a non-record")
             i = rt.field_index(e.name)
-            f, g = comp(e.rec), comp(e.val)
+            g = chk(e.val, rt.fields[i][1])[1]
 
             def _rw(s, env, f=f, g=g, i=i):
                 r = f(s, env)
                 return r[:i] + (g(s, env),) + r[i + 1 :]
 
-            return _rw
-        if isinstance(e, RecWithDyn):
-            rt = typ(e.rec)
-            assert isinstance(rt, RecType)
-            idx = {name: i for i, (name, _) in enumerate(rt.fields)}
-            f, k, g = comp(e.rec), comp(e.key), comp(e.val)
+            return rt, _rw
+        if cls is RecWithDyn:
+            rt, f = chk(e.rec)
+            if not isinstance(rt, RecType) or not rt.fields:
+                raise err("record update of a non-record")
+            ft, idx, k = dyn(rt, e.key, "record update")
+            g = chk(e.val, ft)[1]
 
             def _rwd(s, env, f=f, k=k, g=g, idx=idx):
                 r = f(s, env)
                 i = idx[k(s, env)]
                 return r[:i] + (g(s, env),) + r[i + 1 :]
 
-            return _rwd
-        if isinstance(e, MkSeq):
-            fs = [comp(x) for x in e.items]
-            return lambda s, env: tuple(f(s, env) for f in fs)
-        if isinstance(e, MkRec):
-            fs = [comp(x) for _, x in e.items]
-            return lambda s, env: tuple(f(s, env) for f in fs)
-        if isinstance(e, MkSome):
-            f = comp(e.inner)
-            return lambda s, env: (f(s, env),)
-        if isinstance(e, NoneLit):
-            return lambda s, env: None
-        if isinstance(e, IsSome):
-            f = comp(e.opt)
-            return lambda s, env: f(s, env) is not None
-        if isinstance(e, TheOpt):
-            t = typ(e.opt)
-            assert isinstance(t, OptType)
-            dflt = default_value(t.inner)
-            f = comp(e.opt)
+            return rt, _rwd
+        if cls is MkSeq:
+            items, fs = e.items, []
+            if isinstance(expected, SeqType):
+                t = expected
+            elif items:
+                t0, f = chk(items[0])
+                t, items, fs = SeqType(t0, len(items)), items[1:], [f]
+            else:
+                raise err("cannot infer the type of an empty sequence literal here")
+            fs += [chk(it, t.elem)[1] for it in items]
+            return t, lambda s, env: tuple(f(s, env) for f in fs)
+        if cls is MkRec:
+            if isinstance(expected, RecType):
+                given = [name for name, _ in e.items]
+                if given != [name for name, _ in expected.fields]:
+                    declared = list(dict(expected.fields))
+                    raise err(f"record literal fields {given} do not match {declared}")
+                t = expected
+                typed = [chk(x, ft) for (_, x), (_, ft) in zip(e.items, expected.fields)]
+            else:
+                typed = [chk(x) for _, x in e.items]
+                t = RecType(tuple((name, ft) for (name, _), (ft, _) in zip(e.items, typed)))
+            fs = [f for _, f in typed]
+            return t, lambda s, env: tuple(f(s, env) for f in fs)
+        if cls is MkSome:
+            if isinstance(expected, OptType):
+                t, f = expected, chk(e.inner, expected.inner)[1]
+            else:
+                it, f = chk(e.inner)
+                t = OptType(it)
+            return t, lambda s, env: (f(s, env),)
+        if cls is NoneLit:
+            t = expected if isinstance(expected, OptType) else OptType(ANYINT)
+            return t, lambda s, env: None
+        if cls is IsSome:
+            t, f = chk(e.opt)
+            if not isinstance(t, OptType):
+                raise err("ISSOME of a non-optional")
+            return BOOL, lambda s, env: f(s, env) is not None
+        if cls is TheOpt:
+            t, f = chk(e.opt)
+            if not isinstance(t, OptType):
+                raise err("THE of a non-optional")
 
-            def _the(s, env, f=f, dflt=dflt):
+            def _the(s, env, f=f, dflt=default_value(t.inner)):
                 v = f(s, env)
                 return v[0] if v is not None else dflt
 
-            return _the
-        if isinstance(e, Arith):
-            f, g = comp(e.a), comp(e.b)
-            op = e.op
-            if op == "+":
-                return lambda s, env: f(s, env) + g(s, env)
-            if op == "-":
-                return lambda s, env: f(s, env) - g(s, env)
-            if op == "*":
-                return lambda s, env: f(s, env) * g(s, env)
-            if op == "DIV":
-                return lambda s, env: _div(f(s, env), g(s, env))
-            if op == "MOD":
-                return lambda s, env: _mod(f(s, env), g(s, env))
-            if op == "^":
-                return lambda s, env: f(s, env) ** max(g(s, env), 0)
-            raise AssertionError(op)
-        if isinstance(e, Neg):
-            f = comp(e.a)
-            return lambda s, env: -f(s, env)
-        if isinstance(e, Cmp):
-            f, g = comp(e.a), comp(e.b)
-            op = e.op
-            if op == "=":
-                return lambda s, env: f(s, env) == g(s, env)
-            if op == "!=":
-                return lambda s, env: f(s, env) != g(s, env)
-            if op == "<":
-                return lambda s, env: f(s, env) < g(s, env)
-            if op == "<=":
-                return lambda s, env: f(s, env) <= g(s, env)
-            if op == ">":
-                return lambda s, env: f(s, env) > g(s, env)
-            if op == ">=":
-                return lambda s, env: f(s, env) >= g(s, env)
-            raise AssertionError(op)
-        if isinstance(e, BoolOp):
-            f, g = comp(e.a), comp(e.b)
-            op = e.op
-            if op == "AND":
-                return lambda s, env: f(s, env) and g(s, env)
-            if op == "OR":
-                return lambda s, env: f(s, env) or g(s, env)
-            if op == "IMPLIES":
-                return lambda s, env: (not f(s, env)) or g(s, env)
-            raise AssertionError(op)
-        if isinstance(e, NotE):
-            f = comp(e.a)
-            return lambda s, env: not f(s, env)
-        if isinstance(e, CondE):
-            c, f, g = comp(e.cond), comp(e.then), comp(e.other)
-            return lambda s, env: f(s, env) if c(s, env) else g(s, env)
-        if isinstance(e, (ForallLt, ExistsLt)):
+            return t.inner, _the
+        if cls is CondE:
+            c = chk(e.cond, BOOL)[1]
+            tt, f = chk(e.then, expected)
+            g = chk(e.other, tt if expected is None else expected)[1]
+            return tt, lambda s, env: f(s, env) if c(s, env) else g(s, env)
+        if cls is ForallLt or cls is ExistsLt:
+            bf = chk(e.bound, ANYINT)[1]
             depth = len(binds)
-            inner_binds = dict(binds)
-            inner_binds[e.var] = (depth, ANYINT)
-            bf = comp(e.bound)
-            body = compile_expr(e.body, schema, inner_binds)
-            want_all = isinstance(e, ForallLt)
+            body = _typed(e.body, schema, BOOL, {**binds, e.var: (depth, ANYINT)}, pos)[1]
+            want_all = cls is ForallLt
 
             def _quant(s, env, bf=bf, body=body, want_all=want_all, depth=depth):
                 n = bf(s, env)
@@ -820,13 +713,13 @@ def compile_expr(e: Expr, schema: Schema, binds: dict[str, tuple[int, Type]] | N
                         return False
                 return want_all
 
-            return _quant
-        raise AssertionError(f"unknown node {e!r}")
+            return BOOL, _quant
+        raise err(f"unknown expression node {e!r}")
 
     try:
-        return comp(e)
+        return chk(e, expected)
     finally:
-        del comp  # its closure holds it: free the cycle by reference count
+        del walk  # `chk` holds it and it holds `chk`: free the cycle by reference count
 
 
 _PREC = {

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from functools import partial
+from typing import Any, Callable
 
 from .exprs import (
+    BOOL,
     BoolOp,
     Cmp,
     Expr,
@@ -24,12 +26,11 @@ from .exprs import (
     NotE,
     Var,
     _compiled,
-    check_expr,
     compile_expr,
     free_vars,
     render_expr,
 )
-from .values import BoolType, DomainOverflow, LoadError, Schema, conforms, domain_iter, domain_size
+from .values import DomainOverflow, LoadError, Schema, conforms, domain_iter, domain_size
 
 
 class NotGenerative(Exception):
@@ -39,10 +40,9 @@ class NotGenerative(Exception):
 class StateSet:
     """Decidable set of states: an Expr predicate or a named native test.
 
-    An expression is type-checked when the set is made, so every load
-    error is raised where it was before, but it is compiled only when the
-    set is first asked `holds`: a model load builds far more sets than a
-    command evaluates."""
+    An expression is type-checked and compiled when the set is made, in
+    one walk (`compile_expr`), so every load error is raised where the
+    set is made, and the set keeps the code that walk built."""
 
     def __init__(
         self,
@@ -58,14 +58,9 @@ class StateSet:
         self.native = native
         self.name = name
         if expr is not None:
-            check_expr(expr, schema, BoolType())
+            self._fn = compile_expr(expr, schema, BOOL)
         else:
             self._fn = lambda s, env: native(s)
-
-    def _fn(self, s: tuple, env: list) -> Any:
-        # First use: the compiled code replaces this method on the instance.
-        self._fn = fn = compile_expr(self.expr, self.schema)
-        return fn(s, env)
 
     def holds(self, s: tuple) -> bool:
         return bool(self._fn(s, []))
@@ -114,21 +109,18 @@ def complement(a: StateSet) -> StateSet:
 Assign = tuple[str, Expr]
 
 
-def check_assigns(schema: Schema, assigns: Iterable[Assign]) -> None:
-    seen = set()
+def compile_assigns(schema: Schema, assigns: tuple[Assign, ...]):
+    """Simultaneous multi-assignment evaluated against the pre-state.  Each
+    target must be declared and assigned once, and each value is checked
+    against its target's type."""
+    compiled, seen = [], set()
     for var, e in assigns:
         if var in seen:
             raise LoadError(f"duplicate assignment target {var!r}")
         seen.add(var)
-        check_expr(e, schema, schema.var_type(var))
-
-
-def compile_assigns(schema: Schema, assigns: tuple[Assign, ...]):
-    """Simultaneous multi-assignment evaluated against the pre-state."""
-    compiled = [
-        (schema.index[var], var, schema.conformers[schema.index[var]], compile_expr(e, schema))
-        for var, e in assigns
-    ]
+        t = schema.var_type(var)
+        i = schema.index[var]
+        compiled.append((i, var, schema.conformers[i], compile_expr(e, schema, t)))
 
     def apply(s: tuple) -> tuple:
         out = list(s)
@@ -144,19 +136,15 @@ def compile_assigns(schema: Schema, assigns: tuple[Assign, ...]):
 
 @dataclass(eq=False)
 class RelRule:
-    """A guarded multi-assignment, type-checked when made and compiled on
-    first use, like a `StateSet`.  Rules compare by identity."""
+    """A guarded multi-assignment, type-checked and compiled when made,
+    like a `StateSet`: `_apply` is the code of its assignments.  Rules
+    compare by identity."""
 
     guard: StateSet
     assigns: tuple[Assign, ...]
 
     def __post_init__(self):
-        check_assigns(self.guard.schema, self.assigns)
-
-    def _apply(self, s: tuple) -> tuple:
-        # First use: the compiled code replaces this method on the instance.
-        self._apply = fn = compile_assigns(self.guard.schema, self.assigns)
-        return fn(s)
+        self._apply = compile_assigns(self.guard.schema, self.assigns)
 
 
 FULL_BUDGET = 200_000  # most states a "full" relation enumerates
@@ -315,7 +303,8 @@ def solve_states(
             elif isinstance(c.b, Var) and c.b.name in schema.index and _closed(c.a):
                 var, rhs = c.b.name, c.a
             if var is not None and var not in pinned:
-                pinned[var] = _compiled(rhs, "_fn", schema, compile_expr)(schema.initial_state(), [])
+                build = partial(compile_expr, expected=schema.var_type(var))
+                pinned[var] = _compiled(rhs, "_fn", schema, build)(schema.initial_state(), [])
 
     mentioned = sorted(
         v for v in free_vars(pre.expr) if v in schema.index and v not in pinned

@@ -151,6 +151,31 @@ def test_conformance_imp_and_rel_pass():
         assert rep.passed, rep.violations()
 
 
+def test_rel_machine_compiles_each_edge_once(monkeypatch):
+    """`make_rel_machine` compiles an edge's assignments, checking them;
+    stepping the machine, however often, compiles nothing."""
+    s = schema()
+    compiled = []
+    real = adapters.compile_assigns
+
+    def counting(schema, assigns):
+        compiled.append(assigns)
+        return real(schema, assigns)
+
+    monkeypatch.setattr(adapters, "compile_assigns", counting)
+    edges = [("a", true_set(s), (("x", Arith("+", Var("x"), Lit(1))),), "b"),
+             ("b", true_set(s), (("x", Lit(0)),), "a"), ("b", true_set(s), (), "end")]
+    m = make_rel_machine(s, "loop", edges, "end")
+    assert compiled == [e[2] for e in edges]
+    c, p, t = AdapterContext(s), RelAt(m, "a"), s.initial_state()
+    for _ in range(4):
+        [(p, t)] = rel_step(c, p, t)
+        [(p, t), _] = rel_step(c, p, t)
+    assert (p, t) == (RelAt(m, "a"), s.initial_state()) and len(compiled) == len(edges)
+    with pytest.raises(LoadError, match="duplicate assignment target 'x'"):
+        make_rel_machine(s, "dup", [("a", true_set(s), (("x", Lit(0)), ("x", Lit(1))), "end")], "end")
+
+
 def test_self_loop_machine_a2_violation():
     s = schema()
     m = make_rel_machine(

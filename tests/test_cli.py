@@ -228,6 +228,37 @@ def test_graph_keeps_programs_apart_that_differ_in_a_literal_class(tmp_path):
     assert "node (TRG<IF true = true THEN x := 2 ELSE x := 0 FI>, {x=1})" in out
 
 
+DYNAMIC_KEY = """MODEL dynkey
+ADAPTER imp
+SCHEMA
+  r : REC {a : INT 0..3, b : INT 0..3} INIT {a: 0, b: 0}
+  k : SYM {KEYS} INIT KEY0
+END
+SET init := true
+REL id := ID END
+EVENT bump WHEN GUARD THEN r := SETFIELDAT(r, k, 1) END
+ESYS e1 := EVT bump
+"""
+
+
+@pytest.mark.parametrize("keys, guard, code, message", [
+    ("a, zz", "r.[k] = 0", 2, "error: 9:7: dynamic field access key k of type SYM {a, zz} "
+     "may name a field not in REC {a: INT 0..3, b: INT 0..3}\n"),
+    ("a, zz", "true", 2, "error: 9:7: dynamic record update key k of type SYM {a, zz} "
+     "may name a field not in REC {a: INT 0..3, b: INT 0..3}\n"),
+    ("b, a", "r.[k] = 0", 0, ""),
+])
+def test_dynamic_record_key_must_name_a_field(tmp_path, capsys, keys, guard, code, message):
+    """A dynamic field key whose type has a symbol the record has no field
+    for is a load error, not a missing field met while exploring."""
+    path = tmp_path / "dynkey.pcm"
+    src = DYNAMIC_KEY.replace("KEYS", keys).replace("KEY0", keys[0]).replace("GUARD", guard)
+    path.write_text(src)
+    argv = ["graph", "dump", str(path), "--target", "e1", "--pre", "init", "--rely", "id"]
+    assert run_cli(argv)[0] == code
+    assert capsys.readouterr().err == message
+
+
 def _sorted_trace_equiv(bctx, b0, s0, rely_universe, max_len, mutation=None, memo=None):
     """`check_trace_equiv` as it first chose its witness: sort both sides'
     differing traces and report the first of the side that has any."""

@@ -432,9 +432,9 @@ def test_pinned_initial_values_compile_once(monkeypatch):
     compiled = []
     real = relations.compile_expr
 
-    def counting(e, schema):
+    def counting(e, schema, expected=None):
         compiled.append(e)
-        return real(e, schema)
+        return real(e, schema, expected)
 
     monkeypatch.setattr(relations, "compile_expr", counting)
     assert not check_linear_modular_equiv(ctx, e04, init0, full, 5).failed

@@ -146,9 +146,9 @@ def test_pred_relation_membership(x, p):
 
 
 # ----------------------------------------------------------------------
-# State sets and rules compile on first use.  Loading type-checks them
-# only; once used, they answer as the code `compile_expr` and
-# `compile_assigns` build for them directly.
+# State sets and rules keep the code their load-time walk built: using
+# them compiles nothing more, and they answer as the code `compile_expr`
+# and `compile_assigns` build for them directly.
 # ----------------------------------------------------------------------
 
 CORPUS_FILES = sorted(os.listdir(os.path.join(os.path.dirname(__file__), "..", "corpus")))
@@ -164,18 +164,38 @@ def _counting(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
+def _loaded_roots(name):
+    """The schema of corpus file `name` and the objects its sets and rules
+    are reachable from: the model, or for a BPEL file, whose sets are made
+    by translation, the tick rely and each activity's translation."""
+    loaded = load(corpus_path(name))
+    if isinstance(loaded, ModelFile):
+        return loaded.schema, [loaded]
+    return loaded.bctx.schema, [cli._tick_rely(loaded)] + [
+        bpel.compile_activity(loaded.bctx, a) for a in loaded.activities.values()]
+
+
 @pytest.mark.parametrize("name", CORPUS_FILES)
 def test_loading_compiles_no_set_or_rule(monkeypatch, name):
+    """Loading leaves no set or rule to compile: using every one reachable
+    from the model calls neither `compile_expr` nor `compile_assigns`."""
+    schema, roots = _loaded_roots(name)
+    sets, rels = [], []
+    _sets_and_rels(roots, set(), sets, rels)
+    assert sets
     calls: list = []
     _counting(monkeypatch, relations, "compile_expr", calls)
     _counting(monkeypatch, relations, "compile_assigns", calls)
-    loaded = load(corpus_path(name))
+    s0 = schema.initial_state()
+    for ss in sets:
+        ss.holds(s0)
+    for rel in rels:
+        _outcome(rel.successors, s0)
+        for r in rel.rules:
+            _outcome(r._apply, s0)
     assert calls == []
     # The patched names are the ones a set and a rule compile through.
-    s = loaded.schema if isinstance(loaded, ModelFile) else loaded.bctx.schema
-    rule = RelRule(true_set(s), ())
-    rule.guard.holds(s.initial_state())
-    rule._apply(s.initial_state())
+    RelRule(true_set(schema), ())
     assert calls == ["compile_expr", "compile_assigns"]
 
 
@@ -225,24 +245,17 @@ SMALL_SCHEMA = 256  # states of the largest corpus schema but the two buddy mode
 
 @pytest.mark.parametrize("name", [n for n in CORPUS_FILES if not n.startswith("buddy_")])
 def test_lazy_sets_and_rules_answer_as_eager_compiles(name):
-    loaded = load(corpus_path(name))
-    if isinstance(loaded, ModelFile):
-        schema, roots = loaded.schema, [loaded]
-    else:  # a BPEL file holds activities: its sets are made by translation
-        schema = loaded.bctx.schema
-        roots = [cli._tick_rely(loaded)] + [
-            bpel.compile_activity(loaded.bctx, a) for a in loaded.activities.values()]
+    schema, roots = _loaded_roots(name)
     assert schema.product_size() <= SMALL_SCHEMA
     sets, rels = [], []
     _sets_and_rels(roots, set(), sets, rels)
     sets = [ss for ss in sets if ss.expr is not None]
-    assert sets and all("_fn" not in vars(ss) for ss in sets)
+    assert sets
     states = schema.all_states(SMALL_SCHEMA)
     for ss in sets:
         eager = compile_expr(ss.expr, schema)
         assert [ss.holds(s) for s in states] == [bool(eager(s, [])) for s in states]
     for rel in rels:
-        assert all("_apply" not in vars(r) for r in rel.rules)
         compiled = [(compile_expr(r.guard.expr, schema), compile_assigns(schema, r.assigns))
                     for r in rel.rules]
         for s in states:
