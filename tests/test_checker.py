@@ -1,5 +1,9 @@
+import functools
+import json
+
 import pytest
 
+import record_prove_sweep
 from conftest import corpus_path
 from paper_defs import computation_valid, in_assume, in_commit
 from rgkit import checker
@@ -464,3 +468,21 @@ def test_validity_exact_vs_computation_enumeration():
         assert verdict.passed == enumerated_ok
         pv = prog_validity(ctx.actx, ctx.adapter, prog, spec)
         assert pv.passed == verdict.passed
+
+
+@functools.cache
+def _prove_golden() -> dict:
+    with open(record_prove_sweep.GOLDEN, encoding="utf-8") as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize(
+    "name,outline",
+    [(n, o) for n in record_prove_sweep.FILES for o in record_prove_sweep.outlines(n)],
+)
+def test_prove_sweep_matches_golden(name, outline):
+    """Every `check prove --crosscheck` request of the outline, over every
+    target x spec and both universes, gives the recorded exit code, result
+    and clause per record, and the recorded report digest (see
+    tests/record_prove_sweep.py)."""
+    assert record_prove_sweep.sweep(name, outline) == _prove_golden()[name][outline]
