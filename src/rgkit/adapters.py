@@ -443,7 +443,6 @@ class ProgramAdapter:
     step: Callable[[AdapterContext, Any, tuple], list]
     samples: Callable[[AdapterContext], list[tuple[Any, tuple]]]
     terminal: Any = None
-    prove_hook: Callable | None = None  # optional native proof-rule checker
 
 
 def _imp_samples(ctx: AdapterContext) -> list[tuple[Any, tuple]]:
@@ -588,8 +587,6 @@ def prog_validity(
     try:
         g = semantics.build_graph(semantics.Ctx(ctx, adapter), EsTriggered(p), None, spec.rely,
                                   init_states, float("inf"), on_expand=on_expand, on_comp=on_comp)
-    except AwaitDivergence as d:
-        return diag(check, "await-divergence", detail={"where": d.where})
-    except DomainOverflow as d:
-        return diag(check, "domain-overflow", detail={"assignment": f"{d.var} <- {d.value!r}"})
+    except Exception as e:  # noqa: BLE001 - converted to typed diagnostics
+        return semantics.graph_diag(check, e)
     return stop[0](g) if stop else ok(check, node_count=g.node_count)

@@ -6,7 +6,10 @@ component edge lies in the guarantee and every finished configuration
 satisfies the postcondition.  FAIL verdicts carry a shortest violating
 path that replays step-by-step under the semantics.
 
-The proof-rule engine discharges one rule per outline node.  Set and
+The proof-rule engine discharges one rule per outline node.  `_RULES`
+gives each outline node class its rule name, the target class it needs
+and a generator of its premises, program obligations and sub-proofs in
+rule order; one loop, `_prove_es`, returns the first that fails.  Set and
 relation premises are instantiated over a recorded universe of states
 (default: the reachable states of the outer graph, which is sound for the
 soundness cross-check because replay only ever visits reachable states;
@@ -222,27 +225,13 @@ class _ProveState:
     budget: int
 
 
-def _prog_obligation(
-    ps: _ProveState, prog, spec: RGSpec, where: str
-) -> Verdict | None:
-    """Discharge a leaf program obligation.  The adapter's native checker is
-    consulted first; the default is the exact semantic checker."""
-    ctx = ps.ctx
-    if ctx.adapter.prove_hook is not None:
-        v = ctx.adapter.prove_hook(ctx.actx, prog, spec)
-        if v is not None:
-            return None if v.passed else _premise_fail(where, "prog-validity", v.witness)
+def _prog_obligation(ps: _ProveState, prog, spec: RGSpec, where: str) -> Verdict | None:
+    """Discharge a leaf program obligation with the exact semantic checker."""
     inits = [s for s in ps.universe.states if spec.pre.holds(s)]
-    v = prog_validity(ctx.actx, ctx.adapter, prog, spec, init_states=inits, budget=ps.budget)
-    if v.diagnostic:
-        return v
+    v = prog_validity(ps.ctx.actx, ps.ctx.adapter, prog, spec, init_states=inits, budget=ps.budget)
     if v.failed:
-        return _premise_fail(where, "prog-validity", v.witness)
-    return None
-
-
-def _premise_fail(rule: str, premise: str, witness: Any) -> Verdict:
-    return fail("prove", f"{rule}:{premise}", witness=witness)
+        return fail("prove", f"{where}:prog-validity", witness=v.witness)
+    return v if v.diagnostic else None
 
 
 def _check_bool(rule: str, premise: str, res: tuple[bool, Any], ctx: Ctx) -> Verdict | None:
@@ -258,169 +247,148 @@ def _check_bool(rule: str, premise: str, res: tuple[bool, Any], ctx: Ctx) -> Ver
         w = [ctx.schema.state_to_dict(w[0]), ctx.schema.state_to_dict(w[1])]
     elif is_state(w):
         w = ctx.schema.state_to_dict(w)
-    return _premise_fail(rule, premise, w)
+    return fail("prove", f"{rule}:{premise}", witness=w)
 
 
-def _prove_es(ps: _ProveState, target: EventSystem, spec: RGSpec, outline: Outline) -> Verdict | None:
-    ctx, u = ps.ctx, ps.universe
+# Each rule yields its premises in rule order: a `(name, (holds, witness))`
+# pair for a set or relation premise, and the verdict (None when it holds)
+# of a program obligation or a sub-proof.  A premise is computed only once
+# every earlier one holds.
 
-    if isinstance(outline, ConseqNode):
-        inner = outline.inner
-        for name, res in (
-            ("pre-subset", set_subset(spec.pre, inner.pre, u)),
-            ("post-subset", set_subset(inner.post, spec.post, u)),
-        ):
-            v = _check_bool("RG-Conseq", name, res, ctx)
+
+def _conseq(ps: _ProveState, target, spec: RGSpec, outline: ConseqNode):
+    inner, u = outline.inner, ps.universe
+    yield "pre-subset", set_subset(spec.pre, inner.pre, u)
+    yield "post-subset", set_subset(inner.post, spec.post, u)
+    yield "rely-subset", rel_subset(spec.rely, inner.rely, u)
+    yield "guar-subset", rel_subset(inner.guar, spec.guar, u)
+    yield _prove_es(ps, target, inner, outline.child)
+
+
+def _basic_evt(ps: _ProveState, target: EsBasic, spec: RGSpec, outline: BasicEvtNode):
+    u = ps.universe
+    yield "stable(pre,rely)", stable(spec.pre, spec.rely, u)
+    yield "Id-subset-guar", id_subset(spec.guar, u)
+    for inst in target.events.instances:
+        sub = RGSpec(intersect(spec.pre, inst.guard), spec.rely, spec.guar, spec.post)
+        yield _prog_obligation(ps, inst.body, sub, f"RG-BasicEvt[{inst.label}]")
+
+
+def _atom_evt(ps: _ProveState, target: EsAtomic, spec: RGSpec, outline: AtomEvtNode):
+    u, schema = ps.universe, ps.ctx.schema
+    yield "stable(pre,rely)", stable(spec.pre, spec.rely, u)
+    yield "stable(post,rely)", stable(spec.post, spec.rely, u)
+    for inst in target.events.instances:
+        for v0 in [s for s in u.states if spec.pre.holds(s) and inst.guard.holds(s)]:
+
+            def post_fn(s, v0=v0):
+                return spec.guar.contains(v0, s) and spec.post.holds(s)
+
+            sub = RGSpec(
+                StateSet(schema, native=lambda s, v0=v0: s == v0, name="{V}"),
+                identity_rel(schema),
+                univ_rel(schema),
+                StateSet(schema, native=post_fn, name="guar-image-and-post"),
+            )
+            yield _prog_obligation(ps, inst.body, sub, f"RG-AtomEvt[{inst.label}]")
+
+
+def _trg_evt(ps: _ProveState, target: EsTriggered, spec: RGSpec, outline: TrgEvtNode):
+    if target.prog is None:
+        yield _shape("RG-TrgEvt", target)
+    else:
+        yield _prog_obligation(ps, target.prog, spec, "RG-TrgEvt")
+
+
+def _seq(ps: _ProveState, target: EsSeq, spec: RGSpec, outline: SeqNode):
+    yield _prove_es(ps, target.a, RGSpec(spec.pre, spec.rely, spec.guar, outline.mid), outline.left)
+    yield _prove_es(ps, target.b, RGSpec(outline.mid, spec.rely, spec.guar, spec.post), outline.right)
+
+
+def _choice(ps: _ProveState, target: EsChoice, spec: RGSpec, outline: ChoiceNode):
+    yield _prove_es(ps, target.a, spec, outline.left)
+    yield _prove_es(ps, target.b, spec, outline.right)
+
+
+def _join(ps: _ProveState, target: EsJoin, spec: RGSpec, outline: JoinNode):
+    sp1, sp2, u = outline.spec1, outline.spec2, ps.universe
+    yield "pre-subset", set_subset(spec.pre, intersect(sp1.pre, sp2.pre), u)
+    yield "post-subset", set_subset(intersect(sp1.post, sp2.post), spec.post, u)
+    yield "(3) guar1-subset-guar", rel_subset(sp1.guar, spec.guar, u)
+    yield "(3) guar2-subset-guar", rel_subset(sp2.guar, spec.guar, u)
+    yield "(4) rely-subset-rely1", rel_subset(spec.rely, sp1.rely, u)
+    yield "(4) guar2-subset-rely1", rel_subset(sp2.guar, sp1.rely, u)
+    yield "(5) rely-subset-rely2", rel_subset(spec.rely, sp2.rely, u)
+    yield "(5) guar1-subset-rely2", rel_subset(sp1.guar, sp2.rely, u)
+    yield "(6) Id-subset-guar", id_subset(spec.guar, u)
+    yield _prove_es(ps, target.a, sp1, outline.left)
+    yield _prove_es(ps, target.b, sp2, outline.right)
+
+
+def _iter(ps: _ProveState, target: EsIter, spec: RGSpec, outline: IterNode):
+    inv, u = outline.inv, ps.universe
+    yield "pre-subset-inv", set_subset(spec.pre, inv, u)
+    yield "inv-outside-b-subset-post", set_subset(intersect(inv, complement(target.cond)), spec.post, u)
+    yield "Id-subset-guar", id_subset(spec.guar, u)
+    yield "stable(inv,rely)", stable(inv, spec.rely, u)
+    yield "stable(post,rely)", stable(spec.post, spec.rely, u)
+    body_spec = RGSpec(intersect(inv, target.cond), spec.rely, spec.guar, inv)
+    yield _prove_es(ps, target.body, body_spec, outline.body)
+
+
+def _par(ps: _ProveState, target: ParallelEventSystem, spec: RGSpec, outline: ParNode):
+    specs, children, keys, u = dict(outline.specs), dict(outline.children), target.keys, ps.universe
+    for k in keys:
+        yield f"pre-subset-Pre({k})", set_subset(spec.pre, specs[k].pre, u)
+    for k in keys:
+        yield f"rely-subset-Rely({k})", rel_subset(spec.rely, specs[k].rely, u)
+        yield f"Guar({k})-subset-guar", rel_subset(specs[k].guar, spec.guar, u)
+    for k1 in keys:
+        for k2 in keys:
+            if k1 != k2:
+                yield f"Guar({k1})-subset-Rely({k2})", rel_subset(specs[k1].guar, specs[k2].rely, u)
+
+    def inter_post(s):
+        return all(specs[k].post.holds(s) for k in keys)
+
+    inter = StateSet(ps.ctx.schema, native=inter_post, name="inter-post")
+    yield "inter-Post-subset-post", set_subset(inter, spec.post, u)
+    for k in keys:
+        yield _prove_es(ps, target.get(k), specs[k], children[k])
+
+
+# Outline node class -> (rule name, the target class it needs, its premises).
+_RULES: dict[type, tuple[str, Any, Callable]] = {
+    ConseqNode: ("RG-Conseq", EventSystem, _conseq),
+    BasicEvtNode: ("RG-BasicEvt", EsBasic, _basic_evt),
+    AtomEvtNode: ("RG-AtomEvt", EsAtomic, _atom_evt),
+    TrgEvtNode: ("RG-TrgEvt", EsTriggered, _trg_evt),
+    SeqNode: ("RG-Seq", EsSeq, _seq),
+    ChoiceNode: ("RG-Choice", EsChoice, _choice),
+    JoinNode: ("RG-Join", EsJoin, _join),
+    IterNode: ("RG-Iter", EsIter, _iter),
+    ParNode: ("RG-ParEvtSys", ParallelEventSystem, _par),
+}
+
+
+def _prove_es(ps: _ProveState, target, spec: RGSpec, outline: Outline) -> Verdict | None:
+    """Discharge the outline's rule on the target: the first premise,
+    obligation or sub-proof that does not hold, or None."""
+    rule, needs, premises = _RULES[outline.__class__]
+    if not isinstance(target, needs):
+        return _shape(rule, target)
+    try:
+        for item in premises(ps, target, spec, outline):
+            v = _check_bool(rule, *item, ps.ctx) if isinstance(item, tuple) else item
             if v is not None:
                 return v
-        try:
-            for name, res in (
-                ("rely-subset", rel_subset(spec.rely, inner.rely, u)),
-                ("guar-subset", rel_subset(inner.guar, spec.guar, u)),
-            ):
-                v = _check_bool("RG-Conseq", name, res, ctx)
-                if v is not None:
-                    return v
-        except NotGenerative as e:
-            return diag("prove", "relation-not-generative", detail={"where": str(e)})
-        return _prove_es(ps, target, inner, outline.child)
-
-    if isinstance(outline, BasicEvtNode):
-        if not isinstance(target, EsBasic):
-            return _shape("RG-BasicEvt", target)
-        v = _check_bool("RG-BasicEvt", "stable(pre,rely)", stable(spec.pre, spec.rely, u), ctx)
-        if v is not None:
-            return v
-        v = _check_bool("RG-BasicEvt", "Id-subset-guar", id_subset(spec.guar, u), ctx)
-        if v is not None:
-            return v
-        for inst in target.events.instances:
-            sub = RGSpec(intersect(spec.pre, inst.guard), spec.rely, spec.guar, spec.post)
-            v = _prog_obligation(ps, inst.body, sub, f"RG-BasicEvt[{inst.label}]")
-            if v is not None:
-                return v
-        return None
-
-    if isinstance(outline, AtomEvtNode):
-        if not isinstance(target, EsAtomic):
-            return _shape("RG-AtomEvt", target)
-        for name, res in (
-            ("stable(pre,rely)", stable(spec.pre, spec.rely, u)),
-            ("stable(post,rely)", stable(spec.post, spec.rely, u)),
-        ):
-            v = _check_bool("RG-AtomEvt", name, res, ctx)
-            if v is not None:
-                return v
-        schema = ctx.schema
-        for inst in target.events.instances:
-            vs = [s for s in u.states if spec.pre.holds(s) and inst.guard.holds(s)]
-            for v0 in vs:
-                guar = spec.guar
-
-                def post_fn(s, v0=v0, guar=guar):
-                    return guar.contains(v0, s) and spec.post.holds(s)
-
-                sub = RGSpec(
-                    StateSet(schema, native=lambda s, v0=v0: s == v0, name=f"{{V}}"),
-                    identity_rel(schema),
-                    univ_rel(schema),
-                    StateSet(schema, native=post_fn, name="guar-image-and-post"),
-                )
-                v = _prog_obligation(ps, inst.body, sub, f"RG-AtomEvt[{inst.label}]")
-                if v is not None:
-                    return v
-        return None
-
-    if isinstance(outline, TrgEvtNode):
-        if not isinstance(target, EsTriggered) or target.prog is None:
-            return _shape("RG-TrgEvt", target)
-        return _prog_obligation(ps, target.prog, spec, "RG-TrgEvt")
-
-    if isinstance(outline, SeqNode):
-        if not isinstance(target, EsSeq):
-            return _shape("RG-Seq", target)
-        v = _prove_es(ps, target.a, RGSpec(spec.pre, spec.rely, spec.guar, outline.mid), outline.left)
-        if v is not None:
-            return v
-        return _prove_es(ps, target.b, RGSpec(outline.mid, spec.rely, spec.guar, spec.post), outline.right)
-
-    if isinstance(outline, ChoiceNode):
-        if not isinstance(target, EsChoice):
-            return _shape("RG-Choice", target)
-        v = _prove_es(ps, target.a, spec, outline.left)
-        if v is not None:
-            return v
-        return _prove_es(ps, target.b, spec, outline.right)
-
-    if isinstance(outline, JoinNode):
-        if not isinstance(target, EsJoin):
-            return _shape("RG-Join", target)
-        sp1, sp2 = outline.spec1, outline.spec2
-        pre12 = intersect(sp1.pre, sp2.pre)
-        post12 = intersect(sp1.post, sp2.post)
-        v = _check_bool("RG-Join", "pre-subset", set_subset(spec.pre, pre12, u), ctx)
-        if v is not None:
-            return v
-        v = _check_bool("RG-Join", "post-subset", set_subset(post12, spec.post, u), ctx)
-        if v is not None:
-            return v
-        try:
-            for name, res in (
-                ("(3) guar1-subset-guar", rel_subset(sp1.guar, spec.guar, u)),
-                ("(3) guar2-subset-guar", rel_subset(sp2.guar, spec.guar, u)),
-                ("(4) rely-subset-rely1", rel_subset(spec.rely, sp1.rely, u)),
-                ("(4) guar2-subset-rely1", rel_subset(sp2.guar, sp1.rely, u)),
-                ("(5) rely-subset-rely2", rel_subset(spec.rely, sp2.rely, u)),
-                ("(5) guar1-subset-rely2", rel_subset(sp1.guar, sp2.rely, u)),
-            ):
-                v = _check_bool("RG-Join", name, res, ctx)
-                if v is not None:
-                    return v
-        except NotGenerative as e:
-            return diag("prove", "relation-not-generative", detail={"where": str(e)})
-        v = _check_bool("RG-Join", "(6) Id-subset-guar", id_subset(spec.guar, u), ctx)
-        if v is not None:
-            return v
-        v = _prove_es(ps, target.a, sp1, outline.left)
-        if v is not None:
-            return v
-        return _prove_es(ps, target.b, sp2, outline.right)
-
-    if isinstance(outline, IterNode):
-        if not isinstance(target, EsIter):
-            return _shape("RG-Iter", target)
-        inv = outline.inv
-        checks = (
-            ("pre-subset-inv", set_subset(spec.pre, inv, u)),
-            ("inv-outside-b-subset-post", set_subset(intersect(inv, complement(target.cond)), spec.post, u)),
-            ("Id-subset-guar", id_subset(spec.guar, u)),
-        )
-        for name, res in checks:
-            v = _check_bool("RG-Iter", name, res, ctx)
-            if v is not None:
-                return v
-        for name, res in (
-            ("stable(inv,rely)", stable(inv, spec.rely, u)),
-            ("stable(post,rely)", stable(spec.post, spec.rely, u)),
-        ):
-            v = _check_bool("RG-Iter", name, res, ctx)
-            if v is not None:
-                return v
-        body_spec = RGSpec(intersect(inv, target.cond), spec.rely, spec.guar, inv)
-        return _prove_es(ps, target.body, body_spec, outline.body)
-
-    if isinstance(outline, ParNode):
-        return _shape("RG-ParEvtSys", target)
-
-    raise AssertionError(f"unknown outline node {outline!r}")
+    except NotGenerative as e:
+        return graph_diag("prove", e)
+    return None
 
 
 def _shape(rule: str, target) -> Verdict:
-    return diag(
-        "prove",
-        "outline-shape",
-        detail={"rule": rule, "target": render_system(target)},
-    )
+    return diag("prove", "outline-shape", detail={"rule": rule, "target": render_system(target)})
 
 
 def prove(
@@ -434,7 +402,8 @@ def prove(
 ) -> Verdict:
     """Apply the outline's rule at every node and discharge the generated
     premises over the recorded universe.  PASS, or the first failed premise
-    with rule name and witness."""
+    with rule name and witness.  A parallel target needs a PAR outline over
+    its keys; the two diagnostics for that name no universe."""
     try:
         if universe is None:
             universe = reachable_universe(build_graph(
@@ -442,68 +411,16 @@ def prove(
             ))
     except Exception as e:  # noqa: BLE001
         return graph_diag("prove", e)
-    ps = _ProveState(ctx, universe, budget)
-
     if isinstance(target, ParallelEventSystem):
         if not isinstance(outline, ParNode):
             return _shape("RG-ParEvtSys", target)
-        specs = dict(outline.specs)
-        children = dict(outline.children)
-        if set(specs) != set(target.keys) or set(children) != set(target.keys):
+        keys = set(target.keys)
+        if set(dict(outline.specs)) != keys or set(dict(outline.children)) != keys:
             return diag("prove", "outline-shape", detail={"rule": "RG-ParEvtSys", "expected": target.keys})
-        u = universe
-        for k in target.keys:
-            v = _check_bool("RG-ParEvtSys", f"pre-subset-Pre({k})", set_subset(spec.pre, specs[k].pre, u), ctx)
-            if v is not None:
-                return _finish(v, universe)
-        try:
-            for k in target.keys:
-                v = _check_bool("RG-ParEvtSys", f"rely-subset-Rely({k})", rel_subset(spec.rely, specs[k].rely, u), ctx)
-                if v is not None:
-                    return _finish(v, universe)
-                v = _check_bool("RG-ParEvtSys", f"Guar({k})-subset-guar", rel_subset(specs[k].guar, spec.guar, u), ctx)
-                if v is not None:
-                    return _finish(v, universe)
-            for k1 in target.keys:
-                for k2 in target.keys:
-                    if k1 != k2:
-                        v = _check_bool(
-                            "RG-ParEvtSys",
-                            f"Guar({k1})-subset-Rely({k2})",
-                            rel_subset(specs[k1].guar, specs[k2].rely, u),
-                            ctx,
-                        )
-                        if v is not None:
-                            return _finish(v, universe)
-        except NotGenerative as e:
-            return diag("prove", "relation-not-generative", detail={"where": str(e)})
-
-        def inter_post(s):
-            return all(specs[k].post.holds(s) for k in target.keys)
-
-        v = _check_bool(
-            "RG-ParEvtSys",
-            "inter-Post-subset-post",
-            set_subset(StateSet(ctx.schema, native=inter_post, name="inter-post"), spec.post, u),
-            ctx,
-        )
-        if v is not None:
-            return _finish(v, universe)
-        for k in target.keys:
-            v = _prove_es(ps, target.get(k), specs[k], children[k])
-            if v is not None:
-                return _finish(v, universe)
-        return _finish(None, universe)
-
-    return _finish(_prove_es(ps, target, spec, outline), universe)
-
-
-def _finish(v: Verdict | None, universe: Universe) -> Verdict:
+    v = _prove_es(_ProveState(ctx, universe, budget), target, spec, outline)
     if v is None:
         v = ok("prove")
-    v.universe = universe.name
-    if v.check != "prove":
-        v.check = "prove"
+    v.check, v.universe = "prove", universe.name
     return v
 
 
@@ -583,7 +500,7 @@ def check_invariant(
         st_rely, w_rely = stable(inv, rely, u)
         st_guar, w_guar = stable(inv, guar, u)
     except NotGenerative as e:
-        return diag(check, "relation-not-generative", detail={"where": str(e)})
+        return graph_diag(check, e)
     premises["stable(inv,rely)"] = "PASS" if st_rely else "FAIL"
     premises["stable(inv,guar)"] = "PASS" if st_guar else "FAIL"
 
@@ -679,12 +596,14 @@ def check_loop_variant(
                     )
         # condition 4
         not_smaller_eq = [inv_sets[x] for x in alphas if x <= a]
-        for s in states_a:
-            for t in rely.successors(s):
-                if not any(f.holds(t) for f in not_smaller_eq):
-                    return fail(
-                        check, f"condition-4[alpha={a}]",
-                        witness=[ctx.schema.state_to_dict(s), ctx.schema.state_to_dict(t)],
-                        universe=universe.name,
-                    )
+        try:
+            bad = next(((s, t) for s in states_a for t in rely.successors(s)
+                        if not any(f.holds(t) for f in not_smaller_eq)), None)
+        except NotGenerative as e:
+            return graph_diag(check, e)
+        if bad is not None:
+            return fail(
+                check, f"condition-4[alpha={a}]",
+                witness=[ctx.schema.state_to_dict(w) for w in bad], universe=universe.name,
+            )
     return ok(check, universe=universe.name, detail={"alphas": alphas})

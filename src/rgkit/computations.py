@@ -71,9 +71,10 @@ from .semantics import (
     _join_succ,
     _seq_succ,
     _trg_succ,
+    graph_diag,
     step_es,
 )
-from .relations import RelDesc, StateSet, solve_states
+from .relations import NotGenerative, RelDesc, StateSet, solve_states
 from .verdicts import Verdict, diag, fail, ok
 
 ENV = ("env",)
@@ -532,7 +533,8 @@ def check_linear_modular_equiv(
     Both constructions run over one table, shared by all initial states,
     and only the paths of one side's difference are converted to
     `Computation` objects.  A bound deeper than the recursion limit ends
-    as a `state-explosion` diagnostic."""
+    as a `state-explosion` diagnostic, and a universe relation without a
+    generator as `relation-not-generative`."""
     check = "equiv-cpts"
     table = _Table(ctx, rely_universe, k, disabled)
     total = 0
@@ -562,4 +564,6 @@ def check_linear_modular_equiv(
     except RecursionError:
         cause = f"max_len {max_len} nests computations deeper than the recursion limit"
         return diag(check, "state-explosion", detail={"cause": cause})
+    except NotGenerative as e:
+        return graph_diag(check, e)
     return ok(check, detail={"computations": total})

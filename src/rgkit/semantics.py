@@ -40,7 +40,7 @@ from .events import (
     tau,
 )
 from .exprs import _memo
-from .relations import RelDesc, StateSet, solve_states
+from .relations import NotGenerative, RelDesc, StateSet, solve_states
 from .values import DomainOverflow
 from .verdicts import Verdict, diag
 
@@ -615,4 +615,6 @@ def graph_diag(check: str, exc: Exception) -> Verdict:
         if exc.var == "<node budget>":
             return diag(check, "state-explosion", detail={"nodes": exc.value})
         return diag(check, "domain-overflow", detail={"assignment": f"{exc.var} <- {exc.value!r}"})
+    if isinstance(exc, NotGenerative):
+        return diag(check, "relation-not-generative", detail={"where": str(exc)})
     raise exc

@@ -77,9 +77,6 @@ class RecType:
                 return i
         raise LoadError(f"unknown record field {name!r}")
 
-    def field_type(self, name: str) -> "Type":
-        return self.fields[self.field_index(name)][1]
-
     def __str__(self) -> str:
         return "REC {%s}" % ", ".join(f"{f}: {t}" for f, t in self.fields)
 

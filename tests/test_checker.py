@@ -14,6 +14,7 @@ from rgkit.checker import (
     ConseqNode,
     IterNode,
     JoinNode,
+    ParNode,
     SeqNode,
     Universe,
     check_invariant,
@@ -267,6 +268,34 @@ def test_prove_join_premise4_failure_named():
     v = prove(ctx, jn, spec, JoinNode(spec1, spec2, BasicEvtNode(), BasicEvtNode()))
     assert v.failed
     assert "(4)" in v.clause and "RG-Join" in v.clause
+
+
+def test_prove_premises_run_lazily_in_rule_order():
+    """Each premise is computed only once the earlier ones hold: a JOIN
+    whose (3) guar1-subset-guar fails reports it, although the next
+    premise, guar2-subset-guar, has a `pred` guarantee with no generator
+    on its left.  Shape diagnostics at a parallel root name no universe;
+    those below the root do."""
+    mf = load(corpus_path("prove_suite.pcm"))
+    ctx, rels, specs, outlines = mf.ctx(), mf.rels, mf.rgspecs, mf.outlines
+    join, sp2, outer = outlines["o06_join"], specs["spec_join2"], specs["spec_join"]
+    y_only = RelDesc(mf.schema, "pred", pair_pred=lambda s, t: s[0] == t[0], name="y-only")
+    outline = JoinNode(join.spec1, RGSpec(sp2.pre, sp2.rely, y_only, sp2.post), join.left, join.right)
+    spec = RGSpec(outer.pre, outer.rely, rels["guar_y1"], outer.post)
+    v = prove(ctx, mf.esystems["s_join"], spec, outline)
+    assert (v.result, v.clause, v.universe) == ("FAIL", "RG-Join:(3) guar1-subset-guar", "reachable")
+
+    par, par_spec = mf.pes["par_xy"], specs["spec_par"]
+    one_key = ParNode(outlines["o09_par"].specs[:1], outlines["o09_par"].children[:1])
+    for outline, detail in [
+        (outlines["o01_basic"], {"rule": "RG-ParEvtSys", "target": "{k1: EVT{set1}, k2: EVT{sety1free}}"}),
+        (one_key, {"rule": "RG-ParEvtSys", "expected": ["k1", "k2"]}),
+    ]:
+        v = prove(ctx, par, par_spec, outline)
+        assert (v.result, v.clause, v.universe, v.detail) == ("DIAGNOSTIC", "outline-shape", None, detail)
+    v = prove(ctx, mf.esystems["s_basic"], specs["spec_basic"], outlines["o09_par"])
+    assert (v.result, v.clause, v.universe) == ("DIAGNOSTIC", "outline-shape", "reachable")
+    assert v.detail == {"rule": "RG-ParEvtSys", "target": "EVT{set1}"}
 
 
 def test_prove_shape_mismatch_is_diagnostic():

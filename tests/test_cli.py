@@ -582,3 +582,61 @@ def test_oracle_estimate_within_int_string_limit_is_the_number(capsys):
     estimate = valid_assignment_estimate(BuddyDims(n_max=1, n_levels=6))
     assert 300 < len(str(estimate)) < 4300
     oracle_dims_too_large(6, {"budget": 2000000, "estimated_assignments": estimate}, capsys)
+
+
+UNIV_RELY = """MODEL univ_rely
+ADAPTER imp
+SCHEMA
+  x : INT 0..1 INIT 0
+END
+SET x0 := x = 0
+SET always := true
+SET bpos := x > 0
+SET loopinv_0 := x = 0
+SET loopinv_1 := x = 1
+SET never_0 := false
+SET never_1 := x = 1
+REL u := UNIV
+EVENT set1 WHEN true THEN x := 1 END
+PROGRAM p := x := x
+ESYS s := EVT set1
+ESYS trg := TRG p
+PES par := {k1 : s}
+RGSPEC sp := PRE x0 RELY u GUAR u POST always
+OUTLINE o := BASICEVT
+OUTLINE t := TRGEVT
+"""
+
+
+@pytest.mark.parametrize("argv, check, where", [
+    (["graph", "dump", "{m}", "--target", "s", "--pre", "x0", "--rely", "u"], "graph-dump", None),
+    (["check", "validity", "{m}", "--target", "s", "--spec", "sp"], "validity", None),
+    (["check", "inv", "{m}", "--target", "par", "--init", "x0", "--rely", "u", "--guar", "u",
+      "--inv", "always"], "invariant", None),
+    (["check", "loop-variant", "{m}", "--prog", "p", "--cond", "bpos", "--rely", "u", "--guar", "u",
+      "--loopinv", "loopinv", "--alpha-max", "1"], "loop-variant", None),
+    (["check", "equiv-cpts", "{m}", "--target", "s", "--pre", "x0", "--universe-rel", "u"],
+     "equiv-cpts", None),
+    (["check", "prove", "{m}", "--target", "s", "--spec", "sp", "--outline", "o"], "prove", None),
+    (["check", "prove", "{m}", "--target", "s", "--spec", "sp", "--outline", "o", "--universe", "full"],
+     "prove", "stability against UNIV needs a generator"),
+    # No state is in never_0, so the first use of the rely is alpha 1's
+    # program obligation, and the first of TRGEVT is its obligation.
+    (["check", "loop-variant", "{m}", "--prog", "p", "--cond", "bpos", "--rely", "u", "--guar", "u",
+      "--loopinv", "never", "--alpha-max", "1"], "prog-validity", None),
+    (["check", "prove", "{m}", "--target", "trg", "--spec", "sp", "--outline", "t", "--universe", "full"],
+     "prove", None),
+], ids=["graph-dump", "validity", "inv", "loop-variant", "equiv-cpts", "prove", "prove-full",
+        "loop-variant-obligation", "prove-obligation"])
+def test_rely_without_generator_is_diagnostic(tmp_path, capsys, argv, check, where):
+    """A `UNIV` rely has no successor generator: every command that needs
+    its successors, in a graph build, a premise or a program obligation,
+    ends as a `relation-not-generative` diagnostic, exit 2, and prints
+    nothing on stderr."""
+    model = tmp_path / "univ_rely.pcm"
+    model.write_text(UNIV_RELY, encoding="utf-8")
+    code, out = run_cli([a.replace("{m}", str(model)) for a in argv])
+    assert (code, capsys.readouterr().err) == (2, "")
+    [rec] = records(out)[1:]
+    assert (rec["check"], rec["result"], rec["clause"]) == (check, "DIAGNOSTIC", "relation-not-generative")
+    assert rec["detail"] == {"where": where or "relation UNIV has no successor generator"}
